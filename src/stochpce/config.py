@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .hierarchy import DEFAULT_SUBSTEP_FRACTION
 from .kle import OrnsteinUhlenbeckKernel, TabulatedKernel, default_candidate_count
-from .montecarlo import MCConfig
+from .montecarlo import MAX_STEP_FRACTION, MCConfig
 from .operators import (
     IDENTITY,
     SIGMA_X,
@@ -338,14 +339,16 @@ def parse_config(text: str) -> RunConfig:
     kle = KLEConfig(grid_size=grid_size, candidate_modes=candidate_modes, s=s_dim)
 
     pce = PCEConfig(p=pce_s.get_int("p", default=9, minimum=0),
-                    dt_max=pce_s.get_float("dt_max", default=tau / 2000.0,
+                    dt_max=pce_s.get_float("dt_max",
+                                           default=tau / DEFAULT_SUBSTEP_FRACTION,
                                            positive=True),
                     output_points=pce_s.get_int("output_points", default=200,
                                                 minimum=2))
 
     mc_dt = mc_s.get_float("dt", default=tau / 500.0, positive=True)
-    if mc_dt > tau / 100.0 * (1 + 1e-12):
-        raise ConfigError(f"mc dt = {mc_dt!r} exceeds tau/100 = {tau / 100.0!r}")
+    max_dt = tau / MAX_STEP_FRACTION
+    if mc_dt > max_dt * (1 + 1e-12):
+        raise ConfigError(f"mc dt = {mc_dt!r} exceeds tau/{MAX_STEP_FRACTION} = {max_dt!r}")
     try:
         mc = MCConfig(n_traj=mc_s.get_int("n_traj", default=20000, minimum=2),
                       dt=mc_dt,

@@ -1,15 +1,15 @@
 """Monte Carlo reference solver for the stochastically driven system.
 
 Samples noise realizations (exact discrete Ornstein-Uhlenbeck or a truncated
-Karhunen-Loeve surrogate), propagates each trajectory with exact piecewise
-unitaries in the rotating frame, and averages with running standard-error
-estimates on a tracked observable.
+Karhunen-Loeve surrogate), propagates blocks of trajectories together with
+exact piecewise unitaries in the rotating frame, and averages with running
+standard-error estimates on a tracked observable.
 
 Determinism contract: trajectory k draws from a counter-based substream
-keyed by (seed, k), so results are bit-identical for a given (seed, config)
-regardless of execution order or worker count.  Accumulation reduces each
-batch in a single fixed-order pairwise sum and then folds batches in index
-order.
+keyed by (seed, k) and is stepped with the same arithmetic in any block, so
+results are bit-identical for a given (seed, config) regardless of execution
+order, block size or worker count.  Accumulation reduces each batch in a
+single fixed-order pairwise sum and then folds batches in index order.
 """
 
 import concurrent.futures
@@ -31,6 +31,10 @@ from .operators import (
 DEFAULT_STDERR_TARGET = 5e-3
 MAX_STEP_FRACTION = 100  # dt must not exceed horizon / 100
 GRID_UNIFORMITY_TOL = 1e-9
+# Trajectories stepped together as one (B, d, d) array.  This bounds the
+# per-block temporaries: the (B, n_steps) noise paths and step angles and
+# the (B, d, d) operands of each step.
+BLOCK_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -129,12 +133,11 @@ class _TrajectoryStepper:
     """
 
     def __init__(self, model: StochasticModel, t_grid: np.ndarray):
-        self.t_grid = np.asarray(t_grid, dtype=float)
-        self.dt = _require_uniform(self.t_grid)
-        self.d = model.dim
+        t_grid = np.asarray(t_grid, dtype=float)
+        self.dt = _require_uniform(t_grid)
         v_eigvals, v_eigvecs = np.linalg.eigh(model.v)
         energies, states = model.h0_eigensystem()
-        mids = 0.5 * (self.t_grid[:-1] + self.t_grid[1:])
+        mids = 0.5 * (t_grid[:-1] + t_grid[1:])
         phases = np.exp(-1j * np.outer(mids, energies))
         u0_mid = (states[None, :, :] * phases[:, None, :]) @ states.conj().T
         # columns of q_mid[k] are the eigenvectors of V(t_mid_k)
@@ -142,10 +145,26 @@ class _TrajectoryStepper:
         self.q_mid_h = self.q_mid.conj().transpose(0, 2, 1)
         self.v_eigvals = v_eigvals
 
-    def step_unitary(self, k: int, omega_mid: float) -> np.ndarray:
-        theta = omega_mid * self.dt
-        phase = np.exp(-1j * theta * self.v_eigvals)
-        return (self.q_mid[k] * phase) @ self.q_mid_h[k]
+    def propagate(self, paths: np.ndarray, rho0: np.ndarray,
+                  record_idx: np.ndarray, out: np.ndarray) -> None:
+        """Step a block of trajectories together as one (B, d, d) array.
+
+        paths is (B, n_grid), one noise path per row; the state at grid index
+        record_idx[j] is written to out[:, j].  Every operation acts on each
+        trajectory separately, so a trajectory's states are bitwise the same
+        whichever block it is stepped in.
+        """
+        theta = 0.5 * (paths[:, :-1] + paths[:, 1:]) * self.dt
+        record_at = {int(step): pos for pos, step in enumerate(record_idx)}
+        if 0 in record_at:
+            out[:, record_at[0]] = rho0
+        rho = np.broadcast_to(rho0, (paths.shape[0],) + rho0.shape)
+        for k in range(theta.shape[1]):
+            phase = np.exp(-1j * theta[:, k, None] * self.v_eigvals)
+            u = (self.q_mid[k] * phase[:, None, :]) @ self.q_mid_h[k]
+            rho = u @ rho @ u.conj().transpose(0, 2, 1)
+            if k + 1 in record_at:
+                out[:, record_at[k + 1]] = rho
 
 
 def propagate_trajectory(model: StochasticModel, path, rho0) -> np.ndarray:
@@ -164,26 +183,10 @@ def propagate_trajectory(model: StochasticModel, path, rho0) -> np.ndarray:
     if rho0.shape[0] != model.dim:
         raise DimensionMismatchError("rho0 dimension does not match the model")
     t_grid = np.linspace(0.0, model.horizon, path.size)
-    stepper = _TrajectoryStepper(model, t_grid)
-    return _propagate_with_stepper(stepper, path, rho0, np.arange(path.size))
-
-
-def _propagate_with_stepper(stepper: _TrajectoryStepper, path: np.ndarray,
-                            rho0: np.ndarray, record_idx: np.ndarray) -> np.ndarray:
-    out = np.empty((record_idx.size, stepper.d, stepper.d), dtype=complex)
-    record_pos = 0
-    if record_idx[0] == 0:
-        out[0] = rho0
-        record_pos = 1
-    rho = rho0
-    omega_mid = 0.5 * (path[:-1] + path[1:])
-    for k in range(path.size - 1):
-        u = stepper.step_unitary(k, omega_mid[k])
-        rho = u @ rho @ u.conj().T
-        if record_pos < record_idx.size and record_idx[record_pos] == k + 1:
-            out[record_pos] = rho
-            record_pos += 1
-    return out
+    out = np.empty((1, path.size, model.dim, model.dim), dtype=complex)
+    _TrajectoryStepper(model, t_grid).propagate(path[None, :], rho0,
+                                                np.arange(path.size), out)
+    return out[0]
 
 
 def _resolve_step_grid(model: StochasticModel, config: MCConfig,
@@ -200,20 +203,6 @@ def _resolve_step_grid(model: StochasticModel, config: MCConfig,
     t_grid = np.linspace(t_out[0], t_out[-1], n_steps + 1)
     record_idx = np.arange(0, n_steps + 1, per_interval)
     return t_grid, record_idx
-
-
-def _trajectory_observables(engine, index: int):
-    """One trajectory's recorded states and tracked-observable samples."""
-    rng = trajectory_rng(engine.seed, index)
-    if engine.scaled_modes is None:
-        path = sample_ou_path(engine.kernel, engine.t_grid, rng)
-    else:
-        xi = rng.standard_normal(engine.scaled_modes.shape[0])
-        path = xi @ engine.scaled_modes
-    rhos = _propagate_with_stepper(engine.stepper, path, engine.rho0,
-                                   engine.record_idx)
-    obs_vals = np.einsum("tij,tji->t", engine.obs_rot, rhos).real
-    return rhos, obs_vals
 
 
 class _EnsembleEngine:
@@ -244,6 +233,23 @@ class _EnsembleEngine:
         else:
             self.scaled_modes = None
 
+    def sample_path(self, index: int) -> np.ndarray:
+        """Trajectory index's noise path on the step grid, from its own substream."""
+        rng = trajectory_rng(self.seed, index)
+        if self.scaled_modes is None:
+            return sample_ou_path(self.kernel, self.t_grid, rng)
+        xi = rng.standard_normal(self.scaled_modes.shape[0])
+        return xi @ self.scaled_modes
+
+    def run_block(self, indices: range, rho_out: np.ndarray,
+                  obs_out: np.ndarray) -> None:
+        """Recorded states and tracked-observable samples of the trajectories
+        in indices, written to the matching rows of rho_out and obs_out."""
+        paths = np.stack([self.sample_path(index) for index in indices])
+        self.stepper.propagate(paths, self.rho0, self.record_idx, rho_out)
+        for rhos, obs in zip(rho_out, obs_out):
+            obs[:] = np.einsum("tij,tji->t", self.obs_rot, rhos).real
+
 
 def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
                observable=SIGMA_X, kle: TruncatedKLE | None = None) -> MCEnsemble:
@@ -254,7 +260,7 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
     config.stderr_target and the run stops early once it is met.  Reported
     mean states are back-transformed to the Schrodinger frame.  The result is
     a pure function of (model, rho0, config, t_grid, observable): worker
-    threads only split a batch, never reorder the reduction.
+    threads only split a batch into blocks, never reorder the reduction.
     """
     rho0 = validate_density_matrix(rho0)
     observable = check_hermitian(observable)
@@ -277,20 +283,20 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
     try:
         while n_used < config.n_traj and not converged:
             batch_n = min(config.batch, config.n_traj - n_used)
-            indices = range(n_used, n_used + batch_n)
             batch_rho = np.empty((batch_n, n_out, d, d), dtype=complex)
             batch_obs = np.empty((batch_n, n_out))
 
-            def run_one(pos_index):
-                pos, index = pos_index
-                batch_rho[pos], batch_obs[pos] = _trajectory_observables(engine, index)
+            def run_block(start):
+                stop = min(start + BLOCK_SIZE, batch_n)
+                engine.run_block(range(n_used + start, n_used + stop),
+                                 batch_rho[start:stop], batch_obs[start:stop])
 
-            work = list(enumerate(indices))
+            starts = range(0, batch_n, BLOCK_SIZE)
             if executor is None:
-                for item in work:
-                    run_one(item)
+                for start in starts:
+                    run_block(start)
             else:
-                list(executor.map(run_one, work))
+                list(executor.map(run_block, starts))
 
             # fixed-order pairwise reduction over the batch axis
             sum_rho += np.sum(batch_rho, axis=0)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from oracles import static_realization_sx
+from oracles import static_realization_sx, trajectory_states_loop
 from stochpce import (
     IDENTITY,
     SIGMA_X,
@@ -13,6 +13,7 @@ from stochpce import (
     StochasticModel,
     mc_average,
 )
+from stochpce import montecarlo
 from stochpce.kle import cumulative_rates, select_modes, solve_fredholm
 from stochpce.montecarlo import (
     propagate_trajectory,
@@ -171,6 +172,23 @@ class TestTrajectoryPropagation:
         for rho in rhos[::50]:
             assert np.linalg.eigvalsh(rho).min() > -1e-12
 
+    def test_block_stepper_matches_per_trajectory_loop(self):
+        """Paths stepped together as one block give bitwise the states of the
+        one-trajectory-at-a-time loop (fig2 model: h0 does not commute with v)."""
+        model = make_model()
+        t_grid = np.linspace(0.0, 1.0, 301)
+        record_idx = np.arange(0, 301, 3)
+        paths = np.stack([sample_ou_path(model.kernel, t_grid, trajectory_rng(12345, i))
+                          for i in range(4)])
+        out = np.empty((4, record_idx.size, 2, 2), dtype=complex)
+        montecarlo._TrajectoryStepper(model, t_grid).propagate(
+            paths, RHO_PLUS_X, record_idx, out)
+        assert not np.array_equal(out[0, -1], out[1, -1])
+        for row, path in enumerate(paths):
+            np.testing.assert_array_equal(
+                out[row], trajectory_states_loop(model.h0, model.v, t_grid, path,
+                                                 RHO_PLUS_X, record_idx))
+
     def test_rejects_short_path(self):
         with pytest.raises(ValueError):
             propagate_trajectory(make_model(), np.array([1.0]), RHO_PLUS_X)
@@ -227,20 +245,37 @@ class TestEnsemble:
         c = mc_average(model, RHO_PLUS_X, other, t_out)
         assert not np.array_equal(a.mean_rho, c.mean_rho)
 
-    def test_worker_count_does_not_change_results(self):
-        """Threads split a batch but never reorder the reduction, so the
-        ensemble is bitwise identical for any worker count."""
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        """Threads split a batch into blocks but never reorder the reduction,
+        so the ensemble is bitwise identical for any worker count and block
+        size, with either sampler."""
         model = make_model()
+        modes = solve_fredholm(model.kernel, 1.0, 200, 12)
+        kle = select_modes(modes, cumulative_rates(modes, model.h0, model.v, 1.0), 3)
         t_out = np.linspace(0.0, 1.0, 6)
-        base = dict(n_traj=90, dt=0.01, seed=13, batch=30,
-                    stderr_target=1e-12)
-        serial = mc_average(model, RHO_PLUS_X, MCConfig(**base, workers=1),
-                            t_out)
-        threaded = mc_average(model, RHO_PLUS_X, MCConfig(**base, workers=3),
-                              t_out)
-        np.testing.assert_array_equal(serial.mean_rho, threaded.mean_rho)
-        np.testing.assert_array_equal(serial.stderr_obs, threaded.stderr_obs)
-        assert serial.n_used == threaded.n_used
+        cases = [
+            dict(n_traj=90, batch=30, workers=3),
+            # 290 is a multiple of neither the block size nor the worker count
+            dict(n_traj=580, batch=290, workers=3),
+            dict(n_traj=580, batch=290, workers=2, block_size=7),
+        ]
+        for sampler in ("exact_ou", "kle"):
+            for case in cases:
+                case = dict(case)
+                block_size = case.pop("block_size", montecarlo.BLOCK_SIZE)
+                workers = case.pop("workers")
+                base = dict(case, dt=0.01, seed=13, sampler=sampler,
+                            stderr_target=1e-12)
+                serial = mc_average(model, RHO_PLUS_X, MCConfig(**base, workers=1),
+                                    t_out, kle=kle)
+                with monkeypatch.context() as patch:
+                    patch.setattr(montecarlo, "BLOCK_SIZE", block_size)
+                    threaded = mc_average(model, RHO_PLUS_X,
+                                          MCConfig(**base, workers=workers),
+                                          t_out, kle=kle)
+                np.testing.assert_array_equal(serial.mean_rho, threaded.mean_rho)
+                np.testing.assert_array_equal(serial.stderr_obs, threaded.stderr_obs)
+                assert serial.n_used == threaded.n_used == case["n_traj"]
 
     def test_stderr_scales_inverse_sqrt(self):
         """Quadrupling the trajectory budget halves the standard error;
