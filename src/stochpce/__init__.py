@@ -29,7 +29,6 @@ from .hierarchy import (
     PCEState,
     build_couplings,
     enumerate_indices,
-    hierarchy_rhs,
     initial_pce_state,
     mean_state,
     min_eigenvalue,
@@ -66,10 +65,9 @@ from .operators import (
     SIGMA_Y,
     SIGMA_Z,
     StochasticModel,
-    commutator_action,
     expectation,
+    frame_rotations,
     rotating_frame_potential,
-    static_propagator,
     validate_density_matrix,
 )
 from .config import RunConfig, emit_config, load_config, parse_config
@@ -83,8 +81,8 @@ __all__ = [
     "CorruptedStateError", "ConfigError",
     # operators
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY", "StochasticModel",
-    "static_propagator", "rotating_frame_potential", "commutator_action",
-    "expectation", "validate_density_matrix",
+    "frame_rotations", "rotating_frame_potential", "expectation",
+    "validate_density_matrix",
     # kle
     "OrnsteinUhlenbeckKernel", "TabulatedKernel", "QuadratureGrid", "KLMode",
     "TruncatedKLE", "ModeRecord", "solve_fredholm", "evaluate_mode",
@@ -92,7 +90,7 @@ __all__ = [
     "reconstruct_covariance", "sample_from_kle", "default_candidate_count",
     # hierarchy
     "MultiIndexSet", "GalerkinCouplings", "PCEState", "enumerate_indices",
-    "build_couplings", "initial_pce_state", "hierarchy_rhs", "propagate",
+    "build_couplings", "initial_pce_state", "propagate",
     "mean_state", "observable_mean", "observable_variance", "min_eigenvalue",
     # monte carlo
     "MCConfig", "MCEnsemble", "sample_ou_path", "propagate_trajectory",

@@ -275,6 +275,14 @@ def _split_sections(text: str) -> dict:
     return sections
 
 
+def _check_operator_shape(key: str, shape: tuple, h0_shape: tuple,
+                          line: int | None) -> None:
+    if shape != h0_shape:
+        raise ConfigError(
+            f"'{key}' is {shape[0]}x{shape[1]} but h0 is "
+            f"{h0_shape[0]}x{h0_shape[1]}", line)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a run configuration; errors carry line numbers."""
     sections = _split_sections(text)
@@ -296,9 +304,11 @@ def parse_config(text: str) -> RunConfig:
     v = model_s.get_str("v", required=True)
     tau = model_s.get_float("tau", required=True, positive=True)
     rho0 = model_s.get_str("rho0", default="0.5*id + 0.5*sx")
+    shapes = {}
     for key, spec in (("h0", h0), ("v", v), ("rho0", rho0)):
-        _, line = model_s.raw(key) if model_s.has(key) else (None, None)
-        parse_operator(spec, line)
+        _, line = model_s.raw(key)
+        shapes[key] = parse_operator(spec, line).shape
+        _check_operator_shape(key, shapes[key], shapes["h0"], line)
     model = ModelConfig(h0=h0, v=v, tau=tau, rho0=rho0)
 
     kind = noise_s.get_str("kind", default="ou", choices={"ou", "tabulated"})
@@ -363,9 +373,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid [mc] section: {exc}") from None
 
     observable = output_s.get_str("observable", default="sx")
-    if output_s.has("observable"):
-        _, line = output_s.raw("observable")
-        parse_operator(observable, line)
+    _, line = output_s.raw("observable")
+    _check_operator_shape("observable", parse_operator(observable, line).shape,
+                          shapes["h0"], line)
     output = OutputConfig(prefix=output_s.get_str("prefix", default="run"),
                           observable=observable)
 

@@ -31,7 +31,9 @@ from .kle import TruncatedKLE, scaled_modes_matrix
 from .operators import (
     StochasticModel,
     check_hermitian,
-    propagator_from_eigensystem,
+    expectation,
+    frame_rotations,
+    rotating_frame_potential,
     validate_density_matrix,
 )
 
@@ -96,25 +98,11 @@ def enumerate_indices(s: int, p: int) -> MultiIndexSet:
 
 
 @dataclass(frozen=True, eq=False)
-class CouplingEntry:
-    """G_{m,n,l} != 0: coefficient l feeds d phi_m/dt through mode n."""
-
-    m_pos: int
-    mode: int  # 1-based stochastic mode number
-    l_pos: int
-    weight: float
-
-
-@dataclass(frozen=True, eq=False)
 class GalerkinCouplings:
-    """Sparse coupling tensor, both as entry list and as per-mode matrices.
-
-    mode_matrices[n-1][m, l] = G_{m,n,l}, a CSR matrix per stochastic mode,
-    is the layout the integrator consumes.
-    """
+    """Sparse coupling tensor as one CSR matrix per stochastic mode:
+    mode_matrices[n-1][m, l] = G_{m,n,l}."""
 
     basis: MultiIndexSet
-    entries: tuple
     mode_matrices: tuple
 
 
@@ -124,7 +112,6 @@ def build_couplings(basis: MultiIndexSet) -> GalerkinCouplings:
     Raised indices that leave the truncated set are dropped (boundary
     truncation); lowered indices always stay inside.
     """
-    entries = []
     rows = [[] for _ in range(basis.s)]
     cols = [[] for _ in range(basis.s)]
     data = [[] for _ in range(basis.s)]
@@ -134,20 +121,17 @@ def build_couplings(basis: MultiIndexSet) -> GalerkinCouplings:
             if m[n] >= 1:
                 lowered = m[:n] + (m[n] - 1,) + m[n + 1:]
                 l_pos = basis.lookup[lowered]
-                entries.append(CouplingEntry(m_pos, n + 1, l_pos, 1.0))
                 rows[n].append(m_pos); cols[n].append(l_pos); data[n].append(1.0)
             if degree < basis.p:
                 raised = m[:n] + (m[n] + 1,) + m[n + 1:]
                 l_pos = basis.lookup[raised]
                 weight = float(m[n] + 1)
-                entries.append(CouplingEntry(m_pos, n + 1, l_pos, weight))
                 rows[n].append(m_pos); cols[n].append(l_pos); data[n].append(weight)
     n_basis = basis.size
     matrices = tuple(
         sparse.csr_matrix((data[n], (rows[n], cols[n])), shape=(n_basis, n_basis))
         for n in range(basis.s))
-    return GalerkinCouplings(basis=basis, entries=tuple(entries),
-                             mode_matrices=matrices)
+    return GalerkinCouplings(basis=basis, mode_matrices=matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,46 +193,19 @@ def _rhs(v_t: np.ndarray, s_vec: np.ndarray, coeffs: np.ndarray,
     return -1j * (v_t @ mixed - mixed @ v_t)
 
 
-def hierarchy_rhs(state: PCEState, t: float, kle: TruncatedKLE,
-                  model: StochasticModel, couplings: GalerkinCouplings) -> np.ndarray:
-    """Time derivative of every coefficient at time t.
-
-    Returns an (N, d, d) array; each entry is a commutator and therefore
-    traceless.
-    """
-    if couplings.basis is not state.basis and couplings.basis.indices != state.basis.indices:
-        raise DimensionMismatchError("state and couplings use different bases")
-    if kle.stochastic_dim != state.basis.s:
-        raise DimensionMismatchError(
-            f"KLE has {kle.stochastic_dim} modes, basis expects {state.basis.s}")
-    if model.dim != state.dim:
-        raise DimensionMismatchError("model and state dimensions differ")
-    from .operators import rotating_frame_potential
-
-    v_t = rotating_frame_potential(model, t)
-    s_vec = scaled_modes_matrix(kle.modes, model.kernel, np.array([t]))[:, 0]
-    return _rhs(v_t, s_vec, state.coefficients, couplings.mode_matrices)
-
-
 def _stage_data(model: StochasticModel, kle: TruncatedKLE, times: np.ndarray):
     """Rotating-frame couplings V(t) and sqrt(lambda) g(t) on the stage grid."""
-    energies, states = model.h0_eigensystem()
-    phases = np.exp(-1j * np.outer(times, energies))
-    u0 = (states[None, :, :] * phases[:, None, :]) @ states.conj().T
-    u0h = u0.conj().transpose(0, 2, 1)
-    v_stage = u0h @ model.v @ u0
-    v_stage = 0.5 * (v_stage + v_stage.conj().transpose(0, 2, 1))
-    s_stage = scaled_modes_matrix(kle.modes, model.kernel, times)
-    return v_stage, s_stage
+    return (rotating_frame_potential(model, times),
+            scaled_modes_matrix(kle.modes, model.kernel, times))
 
 
 def _check_invariants(state: PCEState) -> None:
     t_err = trace_error(state)
     h_err = hermiticity_error(state)
-    if t_err > DIVERGENCE_FACTOR * TRACE_CONSERVATION_TOL:
+    if not (t_err <= DIVERGENCE_FACTOR * TRACE_CONSERVATION_TOL):
         raise PropagationDivergedError(
             f"trace error {t_err:.3e} at t = {state.t!r}; reduce dt_max")
-    if h_err > DIVERGENCE_FACTOR * HERMITICITY_TOL:
+    if not (h_err <= DIVERGENCE_FACTOR * HERMITICITY_TOL):
         raise PropagationDivergedError(
             f"hermiticity error {h_err:.3e} at t = {state.t!r}; reduce dt_max")
 
@@ -263,6 +220,15 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     sqrt(lambda_n) g_n(t) are evaluated once per interval on the half-step
     grid, so the integrator itself does no quadrature.
     """
+    if (couplings.basis is not state.basis
+            and couplings.basis.indices != state.basis.indices):
+        raise DimensionMismatchError("state and couplings use different bases")
+    if kle.stochastic_dim != state.basis.s:
+        raise DimensionMismatchError(
+            f"KLE has {kle.stochastic_dim} modes, basis expects {state.basis.s}")
+    if model.dim != state.dim:
+        raise DimensionMismatchError(
+            f"model dimension {model.dim} differs from state dimension {state.dim}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a nonempty 1-D array")
@@ -305,11 +271,10 @@ def mean_state(state: PCEState, model: StochasticModel) -> np.ndarray:
     U0(t).  Positivity is not enforced (the truncated hierarchy does not
     guarantee it); use min_eigenvalue to monitor it.
     """
-    energies, states = model.h0_eigensystem()
-    u0 = propagator_from_eigensystem(energies, states, state.t)
+    u0 = frame_rotations(model, state.t)
     rho = u0 @ state.coefficients[0] @ u0.conj().T
     tr = np.trace(rho)
-    if abs(tr - 1.0) > MEAN_TRACE_TOL:
+    if not (abs(tr - 1.0) <= MEAN_TRACE_TOL):
         raise CorruptedStateError(
             f"mean state trace {tr!r} deviates from 1 beyond {MEAN_TRACE_TOL:.1e}")
     return 0.5 * (rho + rho.conj().T)
@@ -323,8 +288,6 @@ def min_eigenvalue(rho) -> float:
 
 def observable_mean(state: PCEState, obs, model: StochasticModel) -> float:
     """tr(obs * mean_state), reported in the Schrodinger frame."""
-    from .operators import expectation
-
     return expectation(obs, mean_state(state, model))
 
 
@@ -338,8 +301,7 @@ def observable_variance(state: PCEState, obs, model: StochasticModel) -> float:
     obs = check_hermitian(obs)
     if obs.shape[0] != state.dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    energies, states = model.h0_eigensystem()
-    u0 = propagator_from_eigensystem(energies, states, state.t)
+    u0 = frame_rotations(model, state.t)
     obs_rot = u0.conj().T @ obs @ u0
     values = np.einsum("ij,mji->m", obs_rot, state.coefficients).real
     norms = state.basis.weight_norms()

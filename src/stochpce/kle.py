@@ -12,8 +12,9 @@ Conventions:
   - eigenfunctions are L2-normalized on the quadrature grid
     (sum_k w_k g(t_k)^2 = 1) with sign fixed so sum_k w_k g(t_k) >= 0
     (falling back to g(t_0) >= 0 when that sum vanishes);
-  - eigenvalues are clamped to zero when slightly negative from roundoff;
-    genuinely indefinite kernels raise KernelNotPositiveError.
+  - eigenvalues in [-1e-6 * lambda_max, 0) are roundoff and clamped to
+    zero; anything lower means an indefinite kernel and raises
+    KernelNotPositiveError.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ WEIGHT_SUM_TOL = 1e-10
 NORMALIZATION_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-6
 SIGN_SUM_TOL = 1e-12
-CLAMP_THRESHOLD = -1e-9
 HARD_NEGATIVE_THRESHOLD = -1e-6
 NULL_MODE_THRESHOLD = 1e-12
 
@@ -113,7 +113,7 @@ class QuadratureGrid:
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
         span = nodes[-1] - nodes[0]
-        if abs(weights.sum() - span) > WEIGHT_SUM_TOL * max(1.0, span):
+        if not (abs(weights.sum() - span) <= WEIGHT_SUM_TOL * max(1.0, span)):
             raise ValueError(
                 f"weights sum to {weights.sum()!r}, expected the span {span!r}")
         nodes = nodes.copy(); nodes.setflags(write=False)
@@ -167,7 +167,7 @@ class KLMode:
         if values.shape != self.grid.nodes.shape:
             raise DimensionMismatchError("mode values do not match the grid")
         norm = float(np.sum(self.grid.weights * values**2))
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        if not (abs(norm - 1.0) <= NORMALIZATION_TOL):
             raise NumericalConsistencyError(
                 f"mode not L2-normalized: sum w g^2 = {norm!r}")
         values = values.copy(); values.setflags(write=False)
@@ -187,8 +187,8 @@ def solve_fredholm(kernel, tau: float, grid_size: int = 400,
     through W^{-1/2}.  Returns the top n_modes (default: all grid_size)
     by descending eigenvalue, normalized and sign-fixed.
 
-    Eigenvalues in [-1e-9 * lambda_max, 0) are clamped to zero; anything
-    below -1e-6 * lambda_max raises KernelNotPositiveError.
+    Eigenvalues in [-1e-6 * lambda_max, 0) are clamped to zero; anything
+    lower raises KernelNotPositiveError.
     """
     if n_modes is None:
         n_modes = grid_size
@@ -206,13 +206,11 @@ def solve_fredholm(kernel, tau: float, grid_size: int = 400,
 
     lam_max = max(float(eigenvalues[0]), 0.0)
     hard_floor = HARD_NEGATIVE_THRESHOLD * lam_max
-    clamp_floor = CLAMP_THRESHOLD * lam_max
-    if eigenvalues.min() < hard_floor:
+    if not (eigenvalues.min() >= hard_floor):
         raise KernelNotPositiveError(
             f"kernel is not positive semidefinite: eigenvalue "
             f"{eigenvalues.min():.3e} below {hard_floor:.3e}")
     eigenvalues = np.where(eigenvalues < 0, 0.0, eigenvalues)
-    del clamp_floor  # values in [hard_floor, 0) are all clamped above
 
     modes = []
     for rank in range(n_modes):
@@ -348,7 +346,7 @@ def select_modes(modes, rates, s: int) -> TruncatedKLE:
             ga = modes[chosen[a_pos]].values
             gb = modes[chosen[b_pos]].values
             overlap = float(np.sum(grid.weights * ga * gb))
-            if abs(overlap) > ORTHOGONALITY_TOL:
+            if not (abs(overlap) <= ORTHOGONALITY_TOL):
                 raise NumericalConsistencyError(
                     f"retained modes {modes[chosen[a_pos]].index} and "
                     f"{modes[chosen[b_pos]].index} not orthogonal: {overlap:.3e}")

@@ -24,7 +24,7 @@ from .operators import (
     SIGMA_X,
     StochasticModel,
     check_hermitian,
-    propagator_from_eigensystem,
+    frame_rotations,
     validate_density_matrix,
 )
 
@@ -136,10 +136,7 @@ class _TrajectoryStepper:
         t_grid = np.asarray(t_grid, dtype=float)
         self.dt = _require_uniform(t_grid)
         v_eigvals, v_eigvecs = np.linalg.eigh(model.v)
-        energies, states = model.h0_eigensystem()
-        mids = 0.5 * (t_grid[:-1] + t_grid[1:])
-        phases = np.exp(-1j * np.outer(mids, energies))
-        u0_mid = (states[None, :, :] * phases[:, None, :]) @ states.conj().T
+        u0_mid = frame_rotations(model, 0.5 * (t_grid[:-1] + t_grid[1:]))
         # columns of q_mid[k] are the eigenvectors of V(t_mid_k)
         self.q_mid = u0_mid.conj().transpose(0, 2, 1) @ v_eigvecs
         self.q_mid_h = self.q_mid.conj().transpose(0, 2, 1)
@@ -216,15 +213,10 @@ class _EnsembleEngine:
         self.rho0 = rho0
         self.t_grid, self.record_idx = _resolve_step_grid(model, config, t_out)
         self.stepper = _TrajectoryStepper(model, self.t_grid)
-        energies, states = model.h0_eigensystem()
-        rec_times = self.t_grid[self.record_idx]
+        self.u0_out = frame_rotations(model, self.t_grid[self.record_idx])
         # rotated observable per output time: tr(A U0 rho U0^dag) = tr(A_rot rho)
-        self.obs_rot = np.empty((rec_times.size, model.dim, model.dim), dtype=complex)
-        self.u0_out = np.empty_like(self.obs_rot)
-        for pos, t in enumerate(rec_times):
-            u0 = propagator_from_eigensystem(energies, states, t)
-            self.u0_out[pos] = u0
-            self.obs_rot[pos] = u0.conj().T @ observable @ u0
+        self.obs_rot = (self.u0_out.conj().transpose(0, 2, 1) @ observable
+                        @ self.u0_out)
         if config.sampler == "kle":
             if kle is None:
                 raise ValueError("sampler 'kle' needs a TruncatedKLE")

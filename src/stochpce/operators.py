@@ -1,9 +1,9 @@
 """Complex operator algebra for small quantum systems.
 
 Operators are plain complex numpy arrays (dimensionless units, hbar = 1).
-This module provides the Pauli constants, structural validators, unitary
-propagators for static Hamiltonians, the rotating-frame noise coupling,
-commutators, and observable expectations.
+This module provides the Pauli constants, structural validators, the
+batched h0 frame rotation U0(t), the rotating-frame noise coupling, and
+observable expectations.
 
 All functions are pure; returned arrays are freshly allocated.
 """
@@ -47,7 +47,7 @@ def as_operator(a) -> np.ndarray:
 def check_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = as_operator(a)
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
+    if not (dev <= tol):
         raise InvalidOperatorError(f"operator not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
     return a
 
@@ -68,12 +68,12 @@ def validate_density_matrix(rho, trace_tol: float = TRACE_TOL,
     """
     rho = check_hermitian(rho, herm_tol)
     tr = np.trace(rho)
-    if abs(tr.real - 1.0) > trace_tol:
+    if not (abs(tr.real - 1.0) <= trace_tol):
         raise InvalidOperatorError(f"density matrix trace {tr.real!r} not 1 within {trace_tol:.1e}")
-    if abs(tr.imag) > TRACE_IMAG_TOL:
+    if not (abs(tr.imag) <= TRACE_IMAG_TOL):
         raise InvalidOperatorError(f"density matrix trace has imaginary part {tr.imag:.3e}")
     eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < POSITIVITY_TOL:
+    if not (eigs.min() >= POSITIVITY_TOL):
         raise InvalidOperatorError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
     return rho
 
@@ -116,37 +116,25 @@ class StochasticModel:
         return self._eig
 
 
-def static_propagator(h0, t: float) -> np.ndarray:
-    """U0(t) = exp(-i h0 t) for a static Hermitian h0, via eigendecomposition."""
-    h0 = check_hermitian(h0)
-    if not np.isfinite(t):
-        raise InvalidOperatorError(f"time must be finite, got {t}")
-    energies, states = np.linalg.eigh(h0)
-    phases = np.exp(-1j * energies * t)
-    return (states * phases) @ states.conj().T
+def frame_rotations(model: StochasticModel, times) -> np.ndarray:
+    """U0(t) = exp(-i h0 t) at every time, shape times.shape + (d, d).
 
-
-def propagator_from_eigensystem(energies: np.ndarray, states: np.ndarray,
-                                t: float) -> np.ndarray:
-    """U0(t) from a precomputed eigendecomposition of h0."""
-    phases = np.exp(-1j * energies * t)
-    return (states * phases) @ states.conj().T
-
-
-def rotating_frame_potential(model: StochasticModel, t: float) -> np.ndarray:
-    """V(t) = U0(t)^dag v U0(t): the noise coupling in the h0 rotating frame."""
+    A scalar t gives one (d, d) unitary, an array of T times a (T, d, d)
+    stack; each entry is bitwise the same as its scalar call.
+    """
     energies, states = model.h0_eigensystem()
-    u0 = propagator_from_eigensystem(energies, states, t)
-    out = u0.conj().T @ model.v @ u0
-    return 0.5 * (out + out.conj().T)
+    phases = np.exp(-1j * np.multiply.outer(times, energies))
+    return (states * phases[..., None, :]) @ states.conj().T
 
 
-def commutator_action(a, rho) -> np.ndarray:
-    """[a, rho]."""
-    a = as_operator(a)
-    rho = as_operator(rho)
-    check_same_dim(a, rho)
-    return a @ rho - rho @ a
+def rotating_frame_potential(model: StochasticModel, t) -> np.ndarray:
+    """V(t) = U0(t)^dag v U0(t): the noise coupling in the h0 rotating frame.
+
+    Accepts a scalar t or an array of times, like frame_rotations.
+    """
+    u0 = frame_rotations(model, t)
+    out = np.swapaxes(u0.conj(), -1, -2) @ model.v @ u0
+    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
 def expectation(obs, rho) -> float:
@@ -155,7 +143,7 @@ def expectation(obs, rho) -> float:
     rho = as_operator(rho)
     check_same_dim(obs, rho)
     val = np.trace(obs @ rho)
-    if abs(val.imag) > EXPECTATION_IMAG_TOL:
+    if not (abs(val.imag) <= EXPECTATION_IMAG_TOL):
         raise NumericalConsistencyError(
             f"expectation value has imaginary part {val.imag:.3e}")
     return float(val.real)

@@ -210,6 +210,17 @@ def hermite_moment_tables(p_max: int, n_nodes: int = 40):
     return q0, q1
 
 
+def coupling_weights(couplings) -> dict:
+    """{(m_pos, n, l_pos): weight} for every stored entry of the per-mode
+    coupling matrices, n 0-based; omitted pairs are zero weights."""
+    out = {}
+    for n, matrix in enumerate(couplings.mode_matrices):
+        coo = matrix.tocoo()
+        for m_pos, l_pos, weight in zip(coo.row, coo.col, coo.data):
+            out[(int(m_pos), n, int(l_pos))] = float(weight)
+    return out
+
+
 def galerkin_weight_quadrature(m, mode_j: int, l, q0, q1) -> float:
     """E[Phi_m xi_j Phi_l] / E[Phi_m^2] for multivariate Hermite products.
 

@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 
 from oracles import (
+    coupling_weights,
     dephasing_coherence,
     galerkin_weight_quadrature,
     hermite_moment_tables,
@@ -117,8 +118,7 @@ def test_criterion_2_coupling_weights():
             basis = enumerate_indices(s, p)
             couplings = build_couplings(basis)
             q0, q1 = hermite_moment_tables(p)
-            stored = {(e.m_pos, e.mode - 1, e.l_pos): e.weight
-                      for e in couplings.entries}
+            stored = coupling_weights(couplings)
             for m_pos, m in enumerate(basis.indices):
                 for n in range(s):
                     for l_pos, l in enumerate(basis.indices):

@@ -270,6 +270,25 @@ class TestExitCodes:
         assert main(["pce", "--config", cfg]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,old,new,line", [
+        ("v", "v = sz", "v = matrix [[1, 0, 0], [0, 0, 0], [0, 0, -1]]", 3),
+        ("rho0", "tau = 1.0",
+         "tau = 1.0\nrho0 = matrix [[1, 0, 0], [0, 0, 0], [0, 0, 0]]", 5),
+        ("observable", "observable = sx",
+         "observable = matrix [[1, 0, 0], [0, 0, 0], [0, 0, 0]]", 29),
+    ])
+    def test_operator_dimension_mismatch(self, tmp_path, capsys, key, old, new,
+                                         line):
+        """A 3x3 operator next to a 2x2 h0 is a validation error with the
+        offending key's line, for every command that builds the model."""
+        cfg = write_config(tmp_path, TINY.replace(old, new))
+        for command in ("pce", "mc", "compare"):
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err
+            assert f"line {line}: '{key}' is 3x3 but h0 is 2x2" in err
+
     def test_numerical_error(self, tmp_path, capsys):
         """A tabulated kernel violating C(0) >= |C(lag)| fails positivity."""
         table = tmp_path / "bad_kernel.txt"

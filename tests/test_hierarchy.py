@@ -7,6 +7,7 @@ from scipy.special import roots_hermitenorm
 
 from oracles import (
     ConstantKernel,
+    coupling_weights,
     dephasing_coherence,
     dephasing_sx_variance,
     galerkin_weight_quadrature,
@@ -30,8 +31,9 @@ from stochpce import (
 )
 from stochpce.hierarchy import (
     PCEState,
+    _rhs,
+    _stage_data,
     hermiticity_error,
-    hierarchy_rhs,
     mean_state,
     min_eigenvalue,
     observable_mean,
@@ -111,8 +113,7 @@ class TestCouplings:
         couplings = build_couplings(basis)
         q0, q1 = hermite_moment_tables(basis.p + 1)
 
-        stored = {(e.m_pos, e.mode - 1, e.l_pos): e.weight
-                  for e in couplings.entries}
+        stored = coupling_weights(couplings)
         for m_pos, m in enumerate(basis.indices):
             for n in range(basis.s):
                 for l_pos, l in enumerate(basis.indices):
@@ -124,11 +125,11 @@ class TestCouplings:
         """Partner count per index is sum_n([m_n >= 1] + [deg < p])."""
         for s, p in [(3, 4), (2, 5)]:
             basis = enumerate_indices(s, p)
-            couplings = build_couplings(basis)
-            assert len(couplings.entries) <= 2 * s * basis.size
+            weights = coupling_weights(build_couplings(basis))
+            assert len(weights) <= 2 * s * basis.size
             per_index = {pos: 0 for pos in range(basis.size)}
-            for entry in couplings.entries:
-                per_index[entry.m_pos] += 1
+            for m_pos, _n, _l_pos in weights:
+                per_index[m_pos] += 1
             for pos, m in enumerate(basis.indices):
                 expected = sum((1 if mn >= 1 else 0) +
                                (1 if sum(m) < p else 0) for mn in m)
@@ -136,27 +137,15 @@ class TestCouplings:
 
     def test_raising_and_lowering_weights(self):
         basis = enumerate_indices(3, 5)
-        couplings = build_couplings(basis)
-        for entry in couplings.entries:
-            m = basis.indices[entry.m_pos]
-            l = basis.indices[entry.l_pos]
-            n = entry.mode - 1
+        for (m_pos, n, l_pos), weight in coupling_weights(
+                build_couplings(basis)).items():
+            m = basis.indices[m_pos]
+            l = basis.indices[l_pos]
             if sum(l) == sum(m) + 1:
-                assert entry.weight == m[n] + 1
+                assert weight == m[n] + 1
             else:
                 assert sum(l) == sum(m) - 1
-                assert entry.weight == 1.0
-
-    def test_matrices_agree_with_entries(self):
-        basis = enumerate_indices(2, 4)
-        couplings = build_couplings(basis)
-        for n in range(basis.s):
-            dense = np.zeros((basis.size, basis.size))
-            for entry in couplings.entries:
-                if entry.mode == n + 1:
-                    dense[entry.m_pos, entry.l_pos] += entry.weight
-            np.testing.assert_array_equal(
-                couplings.mode_matrices[n].toarray(), dense)
+                assert weight == 1.0
 
 
 class TestRHS:
@@ -175,7 +164,9 @@ class TestRHS:
 
     def test_rhs_is_traceless_and_hermitian(self):
         state = self._random_hermitian_state()
-        deriv = hierarchy_rhs(state, 0.3, self.kle, self.model, self.couplings)
+        v_stage, s_stage = _stage_data(self.model, self.kle, np.array([0.3]))
+        deriv = _rhs(v_stage[0], s_stage[:, 0], state.coefficients,
+                     self.couplings.mode_matrices)
         traces = np.trace(deriv, axis1=1, axis2=2)
         np.testing.assert_allclose(traces, 0.0, atol=1e-12)
         np.testing.assert_allclose(deriv, deriv.conj().transpose(0, 2, 1),
@@ -184,22 +175,24 @@ class TestRHS:
     def test_rejects_foreign_couplings(self):
         state = initial_pce_state(RHO_PLUS_X, self.basis)
         other = build_couplings(enumerate_indices(2, 4))
-        with pytest.raises(DimensionMismatchError):
-            hierarchy_rhs(state, 0.0, self.kle, self.model, other)
+        with pytest.raises(DimensionMismatchError, match="bases"):
+            propagate(state, self.model, self.kle, other, [0.0, 0.1])
 
     def test_rejects_wrong_stochastic_dim(self):
+        """A 3-mode KLE must not run on a 2-mode basis (the third mode would
+        otherwise be dropped without notice)."""
         state = initial_pce_state(RHO_PLUS_X, self.basis)
         kle3 = build_kle(self.model, 3)
-        with pytest.raises(DimensionMismatchError):
-            hierarchy_rhs(state, 0.0, kle3, self.model, self.couplings)
+        with pytest.raises(DimensionMismatchError, match="KLE has 3 modes"):
+            propagate(state, self.model, kle3, self.couplings, [0.0, 0.1])
 
     def test_rejects_wrong_model_dim(self):
         state = initial_pce_state(RHO_PLUS_X, self.basis)
         big = StochasticModel(h0=np.eye(3, dtype=complex),
                               v=np.eye(3, dtype=complex),
                               kernel=self.model.kernel, horizon=1.0)
-        with pytest.raises(DimensionMismatchError):
-            hierarchy_rhs(state, 0.0, self.kle, big, self.couplings)
+        with pytest.raises(DimensionMismatchError, match="model dimension"):
+            propagate(state, big, self.kle, self.couplings, [0.0, 0.1])
 
 
 class TestPropagateValidation:
@@ -238,6 +231,16 @@ class TestPropagateValidation:
         bad[1, 0, 1] = 1e-5  # non-Hermitian, traceless perturbation
         state = PCEState(coefficients=bad, t=0.0, basis=self.basis)
         with pytest.raises(PropagationDivergedError, match="hermiticity"):
+            propagate(state, self.model, self.kle, self.couplings, [0.0, 0.1])
+
+    def test_nan_state_detected(self):
+        """A NaN coefficient makes every invariant NaN, which must fail the
+        checks rather than compare False against the tolerance."""
+        bad = np.zeros((self.basis.size, 2, 2), dtype=complex)
+        bad[0] = RHO_PLUS_X
+        bad[1, 0, 0] = np.nan
+        state = PCEState(coefficients=bad, t=0.0, basis=self.basis)
+        with pytest.raises(PropagationDivergedError, match="nan"):
             propagate(state, self.model, self.kle, self.couplings, [0.0, 0.1])
 
 
@@ -281,7 +284,7 @@ class TestPropagation:
         kle = build_kle(model, 3)
         basis = enumerate_indices(3, 0)
         couplings = build_couplings(basis)
-        assert couplings.entries == ()
+        assert [m.nnz for m in couplings.mode_matrices] == [0, 0, 0]
         states = propagate(initial_pce_state(RHO_PLUS_X, basis), model, kle,
                            couplings, np.linspace(0.0, 1.0, 6), dt_max=0.01)
         for st in states:
@@ -395,6 +398,14 @@ class TestMoments:
         bad[0] = 0.9 * RHO_PLUS_X
         state = PCEState(coefficients=bad, t=0.0, basis=self.basis)
         with pytest.raises(CorruptedStateError):
+            mean_state(state, self.model)
+
+    def test_nan_mean_rejected(self):
+        bad = np.zeros((self.basis.size, 2, 2), dtype=complex)
+        bad[0] = RHO_PLUS_X
+        bad[0, 1, 1] = np.nan
+        state = PCEState(coefficients=bad, t=0.0, basis=self.basis)
+        with pytest.raises(CorruptedStateError, match="nan"):
             mean_state(state, self.model)
 
     def test_min_eigenvalue(self):

@@ -20,7 +20,7 @@ from stochpce.montecarlo import (
     sample_ou_path,
     trajectory_rng,
 )
-from stochpce.operators import static_propagator
+from stochpce.operators import frame_rotations
 
 RHO_PLUS_X = 0.5 * IDENTITY + 0.5 * SIGMA_X
 
@@ -34,8 +34,7 @@ def make_model(alpha=3.0, tau_c=10.0, h0=SIGMA_X, v=SIGMA_Z, horizon=1.0):
 def sx_curve(model, rhos, t_grid):
     """Schrodinger-frame <sigma_x> from rotating-frame states."""
     out = np.empty(len(t_grid))
-    for k, t in enumerate(t_grid):
-        u0 = static_propagator(model.h0, t)
+    for k, u0 in enumerate(frame_rotations(model, np.asarray(t_grid))):
         out[k] = np.trace(SIGMA_X @ u0 @ rhos[k] @ u0.conj().T).real
     return out
 
@@ -155,7 +154,7 @@ class TestTrajectoryPropagation:
             t = np.linspace(0.0, 1.0, n_points)
             path = np.sin(3.0 * t) + 0.5
             rhos = propagate_trajectory(model, path, RHO_PLUS_X)
-            u0 = static_propagator(model.h0, 1.0)
+            u0 = frame_rotations(model, 1.0)
             return float(np.trace(SIGMA_X @ u0 @ rhos[-1] @ u0.conj().T).real)
 
         f1, f2, f4 = final_sx(101), final_sx(201), final_sx(401)
@@ -211,8 +210,7 @@ class TestEnsemble:
         assert result.converged
         assert result.n_used == 10
         assert np.max(result.stderr_obs) < 1e-6
-        for k, t in enumerate(t_out):
-            u0 = static_propagator(model.h0, t)
+        for k, u0 in enumerate(frame_rotations(model, t_out)):
             np.testing.assert_allclose(result.mean_rho[k],
                                        u0 @ RHO_PLUS_X @ u0.conj().T,
                                        atol=1e-12)

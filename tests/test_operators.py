@@ -17,11 +17,9 @@ from stochpce import (
 from stochpce.operators import (
     as_operator,
     check_hermitian,
-    commutator_action,
     expectation,
-    propagator_from_eigensystem,
+    frame_rotations,
     rotating_frame_potential,
-    static_propagator,
     validate_density_matrix,
 )
 
@@ -83,10 +81,6 @@ class TestValidators:
         with pytest.raises(NumericalConsistencyError):
             expectation(SIGMA_X, rho_bad)
 
-    def test_commutator(self):
-        np.testing.assert_allclose(commutator_action(SIGMA_X, SIGMA_Y),
-                                   2j * SIGMA_Z, atol=1e-15)
-
 
 class TestStochasticModel:
     def test_requires_positive_horizon(self):
@@ -110,25 +104,27 @@ class TestStochasticModel:
 
 class TestPropagators:
     def test_static_propagator_matches_expm(self):
+        """frame_rotations against dense expm for a non-diagonal 3x3 h0.
+
+        The batched call must equal each scalar call bitwise, and both must
+        include the closing eigenvector rotation (dropping it is invisible
+        for diagonal h0).
+        """
         rng = np.random.default_rng(11)
         raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h0 = 0.5 * (raw + raw.conj().T)
-        for t in (0.0, 0.31, 2.7):
-            np.testing.assert_allclose(static_propagator(h0, t),
-                                       expm(-1j * h0 * t), atol=1e-12)
+        model = make_model(h0, v=np.diag([1.0, 0.0, -1.0]).astype(complex))
+        times = np.array([0.0, 0.31, 2.7])
+        batch = frame_rotations(model, times)
+        assert batch.shape == (3, 3, 3)
+        for t, u0 in zip(times, batch):
+            np.testing.assert_allclose(u0, expm(-1j * h0 * t), atol=1e-12)
+            np.testing.assert_array_equal(frame_rotations(model, t), u0)
 
     def test_propagator_composition(self):
-        u1 = static_propagator(SIGMA_X + 0.3 * SIGMA_Z, 0.4)
-        u2 = static_propagator(SIGMA_X + 0.3 * SIGMA_Z, 0.7)
-        u3 = static_propagator(SIGMA_X + 0.3 * SIGMA_Z, 1.1)
+        model = make_model(SIGMA_X + 0.3 * SIGMA_Z)
+        u1, u2, u3 = frame_rotations(model, np.array([0.4, 0.7, 1.1]))
         np.testing.assert_allclose(u2 @ u1, u3, atol=1e-12)
-
-    def test_propagator_from_eigensystem_consistent(self):
-        model = make_model(SIGMA_X + 0.2 * SIGMA_Y)
-        energies, states = model.h0_eigensystem()
-        np.testing.assert_allclose(
-            propagator_from_eigensystem(energies, states, 0.9),
-            static_propagator(model.h0, 0.9), atol=1e-12)
 
 
 class TestRotatingFrame:
@@ -140,11 +136,13 @@ class TestRotatingFrame:
         dynamics whenever h0 was nondiagonal.
         """
         model = make_model(SIGMA_X)
-        for t in (0.0, 0.37, 1.0):
+        times = np.array([0.0, 0.37, 1.0])
+        batch = rotating_frame_potential(model, times)
+        for t, v_t in zip(times, batch):
             u0 = expm(-1j * SIGMA_X * t)
             expected = u0.conj().T @ SIGMA_Z @ u0
-            np.testing.assert_allclose(rotating_frame_potential(model, t),
-                                       expected, atol=1e-12)
+            np.testing.assert_allclose(v_t, expected, atol=1e-12)
+            np.testing.assert_array_equal(rotating_frame_potential(model, t), v_t)
 
     def test_identity_frame_when_drift_vanishes(self):
         model = make_model(np.zeros((2, 2), dtype=complex))
