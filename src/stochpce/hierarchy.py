@@ -40,6 +40,7 @@ from .operators import (
 MAX_BASIS_SIZE = 10_000_000
 TRACE_CONSERVATION_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
+WEIGHTED_NORM_TOL = 1e-8
 DIVERGENCE_FACTOR = 100.0
 MEAN_TRACE_TOL = 1e-6
 DEFAULT_SUBSTEP_FRACTION = 2000
@@ -180,22 +181,44 @@ def hermiticity_error(state: PCEState) -> float:
     return float(np.max(np.sqrt(np.sum(np.abs(dev) ** 2, axis=(1, 2)))))
 
 
-def _rhs(v_t: np.ndarray, s_vec: np.ndarray, coeffs: np.ndarray,
-         mode_matrices) -> np.ndarray:
-    """-i sum_n s_n [V, (M_n phi)_m], vectorized over the basis."""
-    n_basis, d = coeffs.shape[0], coeffs.shape[1]
-    flat = coeffs.reshape(n_basis, d * d)
-    mixed = np.zeros_like(flat)
-    for s_n, matrix in zip(s_vec, mode_matrices):
-        if s_n != 0.0:
-            mixed += s_n * (matrix @ flat)
-    mixed = mixed.reshape(n_basis, d, d)
-    return -1j * (v_t @ mixed - mixed @ v_t)
+def weighted_norm(state: PCEState) -> float:
+    """sum_m (prod_j m_j!) ||phi_m||_F^2, which the truncated Galerkin flow
+    conserves exactly: the couplings are symmetric in the Hermite inner
+    product and the commutator with V is anti-Hermitian."""
+    flat = state.coefficients.reshape(state.basis.size, -1)
+    return _weighted_norm(flat, state.basis.weight_norms())
+
+
+def _weighted_norm(flat: np.ndarray, weights: np.ndarray) -> float:
+    return float(weights @ np.sum(np.abs(flat) ** 2, axis=1))
+
+
+def _rhs(lt: np.ndarray, s_vec: np.ndarray, flat: np.ndarray,
+         stacked) -> np.ndarray:
+    """-i sum_n s_n (M_n Y) L_V^T on the flattened (N, d*d) coefficients Y.
+
+    lt is the stage's -i L_V^T; stacked is [M_1 ... M_S] as one (N, S N)
+    CSR matrix, so the mode sum is one sparse product against the stacked
+    s_n-scaled blocks.
+    """
+    z = flat @ lt
+    return stacked @ (s_vec[:, None, None] * z).reshape(-1, z.shape[1])
 
 
 def _stage_data(model: StochasticModel, kle: TruncatedKLE, times: np.ndarray):
-    """Rotating-frame couplings V(t) and sqrt(lambda) g(t) on the stage grid."""
-    return (rotating_frame_potential(model, times),
+    """Commutator superoperators -i L_V(t)^T and sqrt(lambda) g(t) on the
+    stage grid.
+
+    With row-major vec, vec(V X - X V) = (V kron I - I kron V^T) vec(X) =
+    L_V vec(X), so a row vec(X) of the flattened coefficients maps to
+    -i vec([V, X]) under the right product with -i L_V^T.
+    """
+    v_t = rotating_frame_potential(model, times)
+    eye = np.eye(model.dim)
+    l_v = (np.einsum("tij,kl->tikjl", v_t, eye)
+           - np.einsum("ij,tlk->tikjl", eye, v_t))
+    l_v = l_v.reshape(v_t.shape[0], model.dim ** 2, model.dim ** 2)
+    return (-1j * np.swapaxes(l_v, 1, 2),
             scaled_modes_matrix(kle.modes, model.kernel, times))
 
 
@@ -210,15 +233,27 @@ def _check_invariants(state: PCEState) -> None:
             f"hermiticity error {h_err:.3e} at t = {state.t!r}; reduce dt_max")
 
 
+def _check_weighted_norm(norm: float, norm0: float, t: float) -> None:
+    """RK4 keeps every trace and hermiticity exactly even when it is
+    unstable; an unstable step shows only as growth of the weighted norm."""
+    if not (norm <= norm0 * (1.0 + DIVERGENCE_FACTOR * WEIGHTED_NORM_TOL)):
+        raise PropagationDivergedError(
+            f"weighted norm {norm:.3e} exceeds its initial {norm0:.3e} "
+            f"at t = {t!r}; reduce dt_max")
+
+
 def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
               couplings: GalerkinCouplings, t_grid, dt_max: float | None = None):
     """Integrate the hierarchy with fixed-step classic RK4.
 
     Records a PCEState at every t_grid point (the first must equal state.t).
     Within each output interval the step is the largest uniform step not
-    exceeding dt_max (default horizon / 2000).  Stage values of V(t) and
-    sqrt(lambda_n) g_n(t) are evaluated once per interval on the half-step
-    grid, so the integrator itself does no quadrature.
+    exceeding dt_max (default horizon / 2000).  The commutator
+    superoperators -i L_V(t)^T and sqrt(lambda_n) g_n(t) are evaluated once
+    per interval on the half-step grid, so the integrator itself does no
+    quadrature; the coefficients stay flattened to (N, d*d) between records.
+    Every record is checked for trace and hermiticity drift and for growth of
+    weighted_norm; PropagationDivergedError names the first check that fails.
     """
     if (couplings.basis is not state.basis
             and couplings.basis.indices != state.basis.indices):
@@ -241,25 +276,31 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     if dt_max <= 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
 
-    matrices = couplings.mode_matrices
-    y = state.coefficients.astype(complex)
-    out = [PCEState(coefficients=y, t=float(t_grid[0]), basis=state.basis)]
+    n_basis, d = state.basis.size, state.dim
+    stacked = sparse.hstack(couplings.mode_matrices, format="csr")
+    weights = state.basis.weight_norms()
+    y = state.coefficients.reshape(n_basis, d * d).astype(complex)
+    out = [PCEState(coefficients=state.coefficients, t=float(t_grid[0]),
+                    basis=state.basis)]
     _check_invariants(out[0])
+    norm0 = _weighted_norm(y, weights)
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
         span = t1 - t0
         steps = max(1, int(np.ceil(span / dt_max - 1e-12)))
         h = span / steps
         stage_times = t0 + (h / 2) * np.arange(2 * steps + 1)
-        v_stage, s_stage = _stage_data(model, kle, stage_times)
+        lt_stage, s_stage = _stage_data(model, kle, stage_times)
         for j in range(steps):
             i0 = 2 * j
-            k1 = _rhs(v_stage[i0], s_stage[:, i0], y, matrices)
-            k2 = _rhs(v_stage[i0 + 1], s_stage[:, i0 + 1], y + (h / 2) * k1, matrices)
-            k3 = _rhs(v_stage[i0 + 1], s_stage[:, i0 + 1], y + (h / 2) * k2, matrices)
-            k4 = _rhs(v_stage[i0 + 2], s_stage[:, i0 + 2], y + h * k3, matrices)
+            k1 = _rhs(lt_stage[i0], s_stage[:, i0], y, stacked)
+            k2 = _rhs(lt_stage[i0 + 1], s_stage[:, i0 + 1], y + (h / 2) * k1, stacked)
+            k3 = _rhs(lt_stage[i0 + 1], s_stage[:, i0 + 1], y + (h / 2) * k2, stacked)
+            k4 = _rhs(lt_stage[i0 + 2], s_stage[:, i0 + 2], y + h * k3, stacked)
             y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        recorded = PCEState(coefficients=y, t=float(t1), basis=state.basis)
+        recorded = PCEState(coefficients=y.reshape(n_basis, d, d), t=float(t1),
+                            basis=state.basis)
         _check_invariants(recorded)
+        _check_weighted_norm(_weighted_norm(y, weights), norm0, recorded.t)
         out.append(recorded)
     return out
 

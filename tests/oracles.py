@@ -166,6 +166,47 @@ def trajectory_states_loop(h0, v, t_grid, path, rho0, record_idx) -> np.ndarray:
             record_pos += 1
     return out
 
+# ---------------------------------------------------------------------------
+# Galerkin hierarchy RHS as a per-coefficient commutator, and its RK4 loop
+# ---------------------------------------------------------------------------
+
+def galerkin_rhs_loop(v_t, s_vec, coeffs, mode_matrices) -> np.ndarray:
+    """-i sum_n s_n [V, (M_n phi)_m] on (N, d, d) coefficients: each mode's
+    coupling matrix mixes the flattened coefficients, then the commutator
+    with V is taken coefficient by coefficient."""
+    n_basis, d = coeffs.shape[0], coeffs.shape[1]
+    flat = coeffs.reshape(n_basis, d * d)
+    mixed = np.zeros_like(flat)
+    for s_n, matrix in zip(s_vec, mode_matrices):
+        if s_n != 0.0:
+            mixed += s_n * (matrix @ flat)
+    mixed = mixed.reshape(n_basis, d, d)
+    return -1j * (v_t @ mixed - mixed @ v_t)
+
+
+def galerkin_rk4_loop(coeffs, t_grid, dt_max, v_of_t, s_of_t,
+                      mode_matrices) -> np.ndarray:
+    """Classic RK4 over galerkin_rhs_loop with the hierarchy's step rule: per
+    output interval, the fewest uniform steps no longer than dt_max.
+    v_of_t(t) gives V(t) and s_of_t(t) the vector sqrt(lambda_n) g_n(t).
+    Returns the (d, d)-shaped coefficients at every t_grid point."""
+    y = np.asarray(coeffs, dtype=complex)
+    out = [y]
+    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+        steps = max(1, int(math.ceil((t1 - t0) / dt_max - 1e-12)))
+        h = (t1 - t0) / steps
+        for j in range(steps):
+            ta, tm, tb = t0 + j * h, t0 + (j + 0.5) * h, t0 + (j + 1) * h
+            args = [(v_of_t(t), s_of_t(t)) for t in (ta, tm, tb)]
+            k1 = galerkin_rhs_loop(*args[0], y, mode_matrices)
+            k2 = galerkin_rhs_loop(*args[1], y + (h / 2) * k1, mode_matrices)
+            k3 = galerkin_rhs_loop(*args[1], y + (h / 2) * k2, mode_matrices)
+            k4 = galerkin_rhs_loop(*args[2], y + h * k3, mode_matrices)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
 class ConstantKernel:
     """C(lag) = a^2: one frozen Gaussian amplitude (rank-one covariance).
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import roots_hermitenorm
 
 from oracles import (
@@ -10,6 +11,7 @@ from oracles import (
     coupling_weights,
     dephasing_coherence,
     dephasing_sx_variance,
+    galerkin_rk4_loop,
     galerkin_weight_quadrature,
     hermite_moment_tables,
     static_ensemble_sx,
@@ -31,6 +33,7 @@ from stochpce import (
 )
 from stochpce.hierarchy import (
     PCEState,
+    _check_weighted_norm,
     _rhs,
     _stage_data,
     hermiticity_error,
@@ -39,10 +42,28 @@ from stochpce.hierarchy import (
     observable_mean,
     observable_variance,
     trace_error,
+    weighted_norm,
 )
-from stochpce.kle import cumulative_rates, select_modes, solve_fredholm
+from stochpce.kle import (
+    cumulative_rates,
+    scaled_modes_matrix,
+    select_modes,
+    solve_fredholm,
+)
+from stochpce.operators import rotating_frame_potential
 
 RHO_PLUS_X = 0.5 * IDENTITY + 0.5 * SIGMA_X
+# A three-level model whose h0 and v are complex, non-diagonal and do not
+# commute, so V(t) in the rotating frame has no transpose symmetry.
+H0_3 = np.array([[1.0, 0.3 - 0.2j, 0.0],
+                 [0.3 + 0.2j, -0.4, 0.5j],
+                 [0.0, -0.5j, 0.2]])
+V_3 = np.array([[0.5, 0.2 + 0.7j, -0.1j],
+                [0.2 - 0.7j, -0.3, 0.4],
+                [0.1j, 0.4, 0.1]])
+RHO_3 = np.array([[0.5, 0.2, 0.1j],
+                  [0.2, 0.3, 0.0],
+                  [-0.1j, 0.0, 0.2]])
 
 
 def make_model(kernel, h0=SIGMA_X, v=SIGMA_Z, horizon=1.0):
@@ -164,13 +185,56 @@ class TestRHS:
 
     def test_rhs_is_traceless_and_hermitian(self):
         state = self._random_hermitian_state()
-        v_stage, s_stage = _stage_data(self.model, self.kle, np.array([0.3]))
-        deriv = _rhs(v_stage[0], s_stage[:, 0], state.coefficients,
-                     self.couplings.mode_matrices)
+        lt_stage, s_stage = _stage_data(self.model, self.kle, np.array([0.3]))
+        stacked = sparse.hstack(self.couplings.mode_matrices, format="csr")
+        flat = state.coefficients.reshape(self.basis.size, 4)
+        deriv = _rhs(lt_stage[0], s_stage[:, 0], flat, stacked)
+        deriv = deriv.reshape(self.basis.size, 2, 2)
         traces = np.trace(deriv, axis1=1, axis2=2)
         np.testing.assert_allclose(traces, 0.0, atol=1e-12)
         np.testing.assert_allclose(deriv, deriv.conj().transpose(0, 2, 1),
                                    atol=1e-12)
+
+    def test_superoperator_is_the_commutator(self):
+        """flat @ lt maps each row vec(X) to -i vec(V X - X V).  A complex,
+        non-diagonal 3x3 V has no symmetry that would hide a transposed or
+        column-major superoperator."""
+        model = make_model(OrnsteinUhlenbeckKernel(1.0, 1.0), h0=H0_3,
+                           v=V_3)
+        kle = build_kle(model, 2)
+        times = np.array([0.0, 0.17, 0.6])
+        lt_stage, _ = _stage_data(model, kle, times)
+        assert lt_stage.shape == (3, 9, 9)
+        rng = np.random.default_rng(11)
+        xs = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        for k, t in enumerate(times):
+            v_t = rotating_frame_potential(model, t)
+            expected = -1j * (v_t @ xs - xs @ v_t)
+            np.testing.assert_allclose(xs.reshape(5, 9) @ lt_stage[k],
+                                       expected.reshape(5, 9), rtol=0,
+                                       atol=1e-14)
+            lt_one, _ = _stage_data(model, kle, times[k:k + 1])
+            np.testing.assert_array_equal(lt_one[0], lt_stage[k])
+
+    def test_propagate_matches_commutator_loop(self):
+        """The stacked-CSR x superoperator RHS reproduces RK4 over the
+        per-coefficient commutator loop on a 3x3 model."""
+        model = make_model(OrnsteinUhlenbeckKernel(2.0, 1.0), h0=H0_3,
+                           v=V_3)
+        kle = build_kle(model, 2)
+        basis = enumerate_indices(2, 4)
+        couplings = build_couplings(basis)
+        start = initial_pce_state(RHO_3, basis)
+        t_grid = np.array([0.0, 0.3, 0.7, 1.0])
+        states = propagate(start, model, kle, couplings, t_grid, dt_max=0.01)
+        reference = galerkin_rk4_loop(
+            start.coefficients, t_grid, 0.01,
+            lambda t: rotating_frame_potential(model, t),
+            lambda t: scaled_modes_matrix(kle.modes, model.kernel, [t])[:, 0],
+            couplings.mode_matrices)
+        got = np.array([st.coefficients for st in states])
+        assert np.max(np.abs(reference[-1])) > 0.05  # the noise moved it
+        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-13)
 
     def test_rejects_foreign_couplings(self):
         state = initial_pce_state(RHO_PLUS_X, self.basis)
@@ -243,6 +307,30 @@ class TestPropagateValidation:
         with pytest.raises(PropagationDivergedError, match="nan"):
             propagate(state, self.model, self.kle, self.couplings, [0.0, 0.1])
 
+    def test_nan_weighted_norm_fails_check(self):
+        """The weighted norm of a NaN state is NaN, and the growth check must
+        reject it rather than compare False against its bound."""
+        bad = np.zeros((self.basis.size, 2, 2), dtype=complex)
+        bad[0] = RHO_PLUS_X
+        bad[2, 1, 0] = np.nan
+        state = PCEState(coefficients=bad, t=0.0, basis=self.basis)
+        norm = weighted_norm(state)
+        assert np.isnan(norm)
+        with pytest.raises(PropagationDivergedError, match="weighted norm nan"):
+            _check_weighted_norm(norm, weighted_norm(self.state), 0.1)
+
+    def test_unstable_integration_detected(self):
+        """RK4 at dt_max = 0.25 is unstable for strong noise yet keeps every
+        trace and hermiticity exactly; only the weighted norm, conserved by
+        the exact flow, grows (to ~1e8 by t = 0.25)."""
+        model = make_model(OrnsteinUhlenbeckKernel(30.0, 1.0))
+        kle = build_kle(model, 2)
+        basis = enumerate_indices(2, 12)
+        with pytest.raises(PropagationDivergedError, match="weighted norm"):
+            propagate(initial_pce_state(RHO_PLUS_X, basis), model, kle,
+                      build_couplings(basis), np.linspace(0.0, 1.0, 5),
+                      dt_max=0.25)
+
 
 class TestPropagation:
     def test_invariants_along_a_driven_run(self):
@@ -253,9 +341,12 @@ class TestPropagation:
         states = propagate(initial_pce_state(RHO_PLUS_X, basis), model, kle,
                            couplings, np.linspace(0.0, 1.0, 11), dt_max=1e-3)
         assert len(states) == 11
+        norm0 = weighted_norm(states[0])
+        assert norm0 == pytest.approx(1.0)  # a pure initial state
         for st in states:
             assert trace_error(st) <= 1e-8
             assert hermiticity_error(st) <= 1e-8
+            assert abs(weighted_norm(st) - norm0) <= 1e-9
 
     def test_rk4_convergence_order(self):
         """Halving dt_max shrinks the self-error vs a dt/4 reference by ~17x:
