@@ -47,7 +47,6 @@ from .kle import (
     default_candidate_count,
     evaluate_mode,
     reconstruct_covariance,
-    sample_from_kle,
     select_modes,
     solve_fredholm,
     transition_rate,
@@ -87,7 +86,7 @@ __all__ = [
     "OrnsteinUhlenbeckKernel", "TabulatedKernel", "QuadratureGrid", "KLMode",
     "TruncatedKLE", "ModeRecord", "solve_fredholm", "evaluate_mode",
     "transition_rate", "cumulative_rates", "select_modes",
-    "reconstruct_covariance", "sample_from_kle", "default_candidate_count",
+    "reconstruct_covariance", "default_candidate_count",
     # hierarchy
     "MultiIndexSet", "GalerkinCouplings", "PCEState", "enumerate_indices",
     "build_couplings", "initial_pce_state", "propagate",

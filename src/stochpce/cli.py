@@ -111,6 +111,7 @@ def _write_csv(path: str, stable_comments, volatile_comments, columns, rows):
 
 
 def _solve_modes(config: RunConfig, model):
+    """All candidate modes and their ranking rates: one Fredholm solve."""
     modes = solve_fredholm(model.kernel, config.model.tau,
                            grid_size=config.kle.grid_size,
                            n_modes=config.kle.candidate_modes)
@@ -118,13 +119,10 @@ def _solve_modes(config: RunConfig, model):
     return modes, rates
 
 
-def _pce_curve(config: RunConfig, model, rho0, observable, s: int, p: int,
-               modes=None, rates=None):
-    """Propagate one (s, p) hierarchy; returns per-output-time diagnostics."""
-    if modes is None:
-        modes, rates = _solve_modes(config, model)
-    kle = select_modes(modes, rates, s)
-    basis = enumerate_indices(s, p)
+def _pce_curve(config: RunConfig, model, rho0, observable, kle, p: int):
+    """Propagate one hierarchy on the selected modes at total degree p;
+    returns per-output-time diagnostics."""
+    basis = enumerate_indices(kle.stochastic_dim, p)
     couplings = build_couplings(basis)
     state0 = initial_pce_state(rho0, basis)
     t_out = config.output_times()
@@ -145,6 +143,22 @@ def _pce_curve(config: RunConfig, model, rho0, observable, s: int, p: int,
     return {"times": t_out, "mean": means, "variance": variances,
             "trace_err": trace_errs, "herm_err": herm_errs,
             "min_eig": min_eigs, "n_equations": basis.size}
+
+
+def _write_curve(path: str, header, volatile, curve) -> None:
+    """One PCE curve as rows of t and the per-time diagnostics."""
+    keys = ("times", "mean", "variance", "trace_err", "herm_err", "min_eig")
+    _write_csv(path, header, volatile,
+               ["t", "obs_mean", "obs_variance", "trace_err", "herm_err",
+                "min_eig"], zip(*(curve[key] for key in keys)))
+
+
+def _mc_exit(ensemble, allow_unconverged: bool) -> int:
+    if ensemble.converged or allow_unconverged:
+        return EXIT_OK
+    print("monte carlo did not reach its stderr target; "
+          "rerun with --allow-unconverged to accept", file=sys.stderr)
+    return EXIT_UNCONVERGED
 
 
 def _mc_observable_means(ensemble, observable) -> np.ndarray:
@@ -177,36 +191,27 @@ def _cmd_pce(config: RunConfig, prefix: str, _allow_unconverged: bool) -> int:
     model = config.build_model()
     rho0 = config.build_rho0()
     observable = config.build_observable()
-    curve = _pce_curve(config, model, rho0, observable,
-                       config.kle.s, config.pce.p)
+    kle = select_modes(*_solve_modes(config, model), config.kle.s)
+    curve = _pce_curve(config, model, rho0, observable, kle, config.pce.p)
     header = _header(config, "pce")
     header.append(f"n_equations: {curve['n_equations']}")
     header.append("columns: trace_err = max_m |tr phi_m - delta_m0|; "
                   "herm_err = max_m frobenius(phi_m - phi_m^dag); "
                   "min_eig = smallest eigenvalue of the mean state")
-    volatile = [f"generated: {_timestamp()}"]
-    rows = zip(curve["times"], curve["mean"], curve["variance"],
-               curve["trace_err"], curve["herm_err"], curve["min_eig"])
-    _write_csv(f"{prefix}_pce.csv", header, volatile,
-               ["t", "obs_mean", "obs_variance", "trace_err", "herm_err",
-                "min_eig"], rows)
+    _write_curve(f"{prefix}_pce.csv", header, [f"generated: {_timestamp()}"],
+                 curve)
     return EXIT_OK
-
-
-def _run_mc(config: RunConfig, model, rho0, observable):
-    kle = None
-    if config.mc.sampler == "kle":
-        modes, rates = _solve_modes(config, model)
-        kle = select_modes(modes, rates, config.kle.s)
-    return mc_average(model, rho0, config.mc, config.output_times(),
-                      observable=observable, kle=kle)
 
 
 def _cmd_mc(config: RunConfig, prefix: str, allow_unconverged: bool) -> int:
     model = config.build_model()
     rho0 = config.build_rho0()
     observable = config.build_observable()
-    ensemble = _run_mc(config, model, rho0, observable)
+    kle = None
+    if config.mc.sampler == "kle":
+        kle = select_modes(*_solve_modes(config, model), config.kle.s)
+    ensemble = mc_average(model, rho0, config.mc, config.output_times(),
+                          observable=observable, kle=kle)
     obs_means = _mc_observable_means(ensemble, observable)
     header = _header(config, "mc")
     header.append(f"converged: {int(ensemble.converged)}")
@@ -215,11 +220,7 @@ def _cmd_mc(config: RunConfig, prefix: str, allow_unconverged: bool) -> int:
             for t, m, s in zip(ensemble.times, obs_means, ensemble.stderr_obs)]
     _write_csv(f"{prefix}_mc.csv", header, volatile,
                ["t", "obs_mean", "obs_stderr", "n_traj"], rows)
-    if not ensemble.converged and not allow_unconverged:
-        print("monte carlo did not reach its stderr target; "
-              "rerun with --allow-unconverged to accept", file=sys.stderr)
-        return EXIT_UNCONVERGED
-    return EXIT_OK
+    return _mc_exit(ensemble, allow_unconverged)
 
 
 def _cmd_compare(config: RunConfig, prefix: str, allow_unconverged: bool) -> int:
@@ -228,12 +229,14 @@ def _cmd_compare(config: RunConfig, prefix: str, allow_unconverged: bool) -> int
     observable = config.build_observable()
 
     start = time.perf_counter()
-    curve = _pce_curve(config, model, rho0, observable,
-                       config.kle.s, config.pce.p)
+    kle = select_modes(*_solve_modes(config, model), config.kle.s)
+    curve = _pce_curve(config, model, rho0, observable, kle, config.pce.p)
     pce_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    ensemble = _run_mc(config, model, rho0, observable)
+    # mc_average reads kle only when the [mc] sampler is "kle"
+    ensemble = mc_average(model, rho0, config.mc, config.output_times(),
+                          observable=observable, kle=kle)
     mc_seconds = time.perf_counter() - start
 
     mc_means = _mc_observable_means(ensemble, observable)
@@ -260,11 +263,7 @@ def _cmd_compare(config: RunConfig, prefix: str, allow_unconverged: bool) -> int
     _write_csv(f"{prefix}_compare.csv", header, volatile,
                ["t", "pce_mean", "mc_mean", "mc_stderr", "abs_diff",
                 "within_band"], rows)
-    if not ensemble.converged and not allow_unconverged:
-        print("monte carlo did not reach its stderr target; "
-              "rerun with --allow-unconverged to accept", file=sys.stderr)
-        return EXIT_UNCONVERGED
-    return EXIT_OK
+    return _mc_exit(ensemble, allow_unconverged)
 
 
 def _cmd_sweep(config: RunConfig, prefix: str, _allow_unconverged: bool) -> int:
@@ -277,21 +276,16 @@ def _cmd_sweep(config: RunConfig, prefix: str, _allow_unconverged: bool) -> int:
 
     summary_rows = []
     for s in config.sweep.s_values:
+        kle = select_modes(modes, rates, s)
         p_values = sorted(set(config.sweep.p_values))
-        curves = {}
-        for p in p_values:
-            curves[p] = _pce_curve(config, model, rho0, observable, s, p,
-                                   modes=modes, rates=rates)
+        curves = {p: _pce_curve(config, model, rho0, observable, kle, p)
+                  for p in p_values}
         reference = curves[p_values[-1]]
         for p in p_values:
             curve = curves[p]
             deviation = float(np.max(np.abs(curve["mean"] - reference["mean"])))
             summary_rows.append((s, p, curve["n_equations"], deviation))
-            rows = zip(curve["times"], curve["mean"], curve["variance"],
-                       curve["trace_err"], curve["herm_err"], curve["min_eig"])
-            _write_csv(f"{prefix}_sweep_s{s}_p{p}.csv", header, volatile,
-                       ["t", "obs_mean", "obs_variance", "trace_err",
-                        "herm_err", "min_eig"], rows)
+            _write_curve(f"{prefix}_sweep_s{s}_p{p}.csv", header, volatile, curve)
     _write_csv(f"{prefix}_sweep_summary.csv", header, volatile,
                ["s", "p", "n_equations", "max_abs_dev_vs_reference"],
                summary_rows)

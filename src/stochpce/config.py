@@ -6,13 +6,18 @@ documented default.  Unknown sections or keys are rejected.  Operators are
 written as Pauli combinations ("sx", "20*sx", "0.5*id + 0.5*sx") or as an
 explicit matrix literal ("matrix [[0, 1], [1, 0]]").
 
-parse_config(emit_config(cfg)) == cfg holds exactly: emit writes every
-resolved value, and floats are emitted with repr (shortest round-trip form).
+The dataclasses below are the layout of a run file: the field order of
+RunConfig decides which sections exist and the order emit_config writes
+them in, and the field order of each section's dataclass (MCConfig for
+[mc]) decides the order of its keys.  parse_config(emit_config(cfg)) == cfg
+holds exactly: emit writes every resolved value that is not None, and floats
+are emitted with repr (shortest round-trip form).
 """
 
 import ast
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,8 +83,8 @@ def format_float(x: float) -> str:
 class ModelConfig:
     h0: str
     v: str
-    tau: float
     rho0: str
+    tau: float
 
 
 @dataclass(frozen=True)
@@ -247,7 +252,7 @@ class _Section:
                 raise ConfigError(f"unknown key '{key}' in [{self.name}]", line)
 
 
-_KNOWN_SECTIONS = ("model", "noise", "kle", "pce", "mc", "output", "sweep")
+_KNOWN_SECTIONS = tuple(section.name for section in fields(RunConfig))
 
 
 def _split_sections(text: str) -> dict:
@@ -394,52 +399,34 @@ def parse_config(text: str) -> RunConfig:
                      output=output, sweep=sweep)
 
 
+def _emit_value(value) -> str:
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, tuple):
+        return ", ".join(str(item) for item in value)
+    return str(value)
+
+
 def emit_config(config: RunConfig) -> str:
     """Canonical INI text with every value resolved; parse round-trips exactly."""
-    lines = ["[model]",
-             f"h0 = {config.model.h0}",
-             f"v = {config.model.v}",
-             f"rho0 = {config.model.rho0}",
-             f"tau = {format_float(config.model.tau)}",
-             "",
-             "[noise]",
-             f"kind = {config.noise.kind}"]
-    if config.noise.kind == "ou":
-        lines += [f"alpha = {format_float(config.noise.alpha)}",
-                  f"tau_c = {format_float(config.noise.tau_c)}"]
-    else:
-        lines += [f"table = {config.noise.table}",
-                  f"spacing = {format_float(config.noise.spacing)}"]
-    lines += ["",
-              "[kle]",
-              f"grid_size = {config.kle.grid_size}",
-              f"candidate_modes = {config.kle.candidate_modes}",
-              f"s = {config.kle.s}",
-              "",
-              "[pce]",
-              f"p = {config.pce.p}",
-              f"dt_max = {format_float(config.pce.dt_max)}",
-              f"output_points = {config.pce.output_points}",
-              "",
-              "[mc]",
-              f"n_traj = {config.mc.n_traj}",
-              f"dt = {format_float(config.mc.dt)}",
-              f"seed = {config.mc.seed}",
-              f"sampler = {config.mc.sampler}",
-              f"batch = {config.mc.batch}",
-              f"stderr_target = {format_float(config.mc.stderr_target)}",
-              f"workers = {config.mc.workers}",
-              "",
-              "[output]",
-              f"prefix = {config.output.prefix}",
-              f"observable = {config.output.observable}",
-              "",
-              "[sweep]",
-              f"p_values = {', '.join(str(p) for p in config.sweep.p_values)}",
-              f"s_values = {', '.join(str(s) for s in config.sweep.s_values)}"]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section in fields(config):
+        values = getattr(config, section.name)
+        lines = [f"[{section.name}]"]
+        for key in fields(values):
+            value = getattr(values, key.name)
+            if value is not None:
+                lines.append(f"{key.name} = {_emit_value(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def load_config(path) -> RunConfig:
+    """Read a run file; a relative [noise] table is taken relative to the
+    run file's directory, not to the working directory."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        config = parse_config(handle.read())
+    if config.noise.table is None:
+        return config
+    table = os.path.join(os.path.dirname(path), config.noise.table)
+    return replace(config, noise=replace(config.noise, table=table))

@@ -1,22 +1,25 @@
 """Hermite polynomial chaos hierarchy for the stochastically driven system.
 
 The density matrix is expanded in multivariate probabilists' Hermite
-polynomials of the S Karhunen-Loeve variables, truncated at total degree P.
+polynomials of the S Karhunen-Loeve variables, over a downward-closed set of
+N multi-indices (enumerate_indices builds the total-degree set |m|_1 <= P,
+of size (S+P)!/(S!P!); any other downward-closed set works the same way).
 Galerkin projection of the rotating-frame evolution turns the stochastic
-equation into N = (S+P)!/(S!P!) coupled deterministic operator ODEs
+equation into N coupled deterministic operator ODEs
 
     d phi_m / dt = -i sum_n sqrt(lambda_n) g_n(t) sum_l G_{m,n,l} [V(t), phi_l]
 
 where the coupling tensor G has the closed form
 G_{m,n,l} = ((m_n + 1) delta_{m_n+1, l_n} + delta_{m_n-1, l_n}) prod_{j != n} delta_{m_j, l_j},
-so each coefficient couples to at most 2 S partners.
+so each coefficient couples to at most 2 S partners: the lowered ones are
+always in the set, the raised ones only where the set contains them.
 
 The stochastic mean is exactly phi_0 (all higher Hermite polynomials have
 zero mean); observable variance falls out of orthogonality for free.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -48,25 +51,48 @@ DEFAULT_SUBSTEP_FRACTION = 2000
 
 @dataclass(frozen=True, eq=False)
 class MultiIndexSet:
-    """Truncated multi-index set {m in Z_{>=0}^S : |m|_1 <= P}, graded-lex ordered.
+    """A downward-closed multi-index set in graded-lex order.
 
-    Position 0 is always the zero index; within each total degree the indices
-    ascend lexicographically.
+    indices is the only input: the zero index first, then ascending total
+    degree and, within a degree, ascending lexicographic order; every index
+    lowered by one in any coordinate is also a member.  Those are exactly the
+    sets on which the Galerkin couplings stay symmetric in the Hermite inner
+    product.  s, p (the largest total degree), lookup (index -> position) and
+    weight_norms (E[Phi_m^2] = prod_j m_j!, read-only) are derived once.
     """
 
-    s: int
-    p: int
     indices: tuple
-    lookup: dict
+    s: int = field(init=False)
+    p: int = field(init=False)
+    lookup: dict = field(init=False)
+    weight_norms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        indices = self.indices
+        if not indices or not indices[0] or any(indices[0]):
+            raise ValueError("a multi-index set starts with the zero index")
+        s = len(indices[0])
+        if any(len(m) != s for m in indices):
+            raise ValueError(f"multi-indices must all have length {s}")
+        keys = [(sum(m), m) for m in indices]
+        if any(a >= b for a, b in zip(keys[:-1], keys[1:])):
+            raise ValueError("multi-indices must be distinct and in graded-lex order")
+        lookup = {m: pos for pos, m in enumerate(indices)}
+        for m in indices:
+            for n in range(s):
+                if m[n] >= 1 and m[:n] + (m[n] - 1,) + m[n + 1:] not in lookup:
+                    raise ValueError(f"{m} is in the set but its lowering in "
+                                     f"mode {n + 1} is not (not downward-closed)")
+        norms = np.array([float(math.prod(math.factorial(mj) for mj in m))
+                          for m in indices])
+        norms.setflags(write=False)
+        for name, value in (("s", s), ("p", keys[-1][0]), ("lookup", lookup),
+                            ("weight_norms", norms)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    def weight_norms(self) -> np.ndarray:
-        """E[Phi_m^2] = prod_j m_j! for each basis polynomial."""
-        return np.array([float(math.prod(math.factorial(mj) for mj in m))
-                         for m in self.indices])
 
 
 def _compositions(parts: int, total: int):
@@ -80,7 +106,7 @@ def _compositions(parts: int, total: int):
 
 
 def enumerate_indices(s: int, p: int) -> MultiIndexSet:
-    """Build the graded-lex multi-index set for stochastic dimension s, order p."""
+    """The total-degree set {m in Z_{>=0}^s : |m|_1 <= p}, graded-lex ordered."""
     if s < 1:
         raise ValueError(f"stochastic dimension must be >= 1, got {s}")
     if p < 0:
@@ -89,13 +115,8 @@ def enumerate_indices(s: int, p: int) -> MultiIndexSet:
     if count > MAX_BASIS_SIZE:
         raise CapacityError(
             f"basis size {count} exceeds the supported maximum {MAX_BASIS_SIZE}")
-    indices = []
-    for total in range(p + 1):
-        indices.extend(_compositions(s, total))
-    indices = tuple(indices)
-    assert len(indices) == count
-    lookup = {m: pos for pos, m in enumerate(indices)}
-    return MultiIndexSet(s=s, p=p, indices=indices, lookup=lookup)
+    return MultiIndexSet(tuple(m for total in range(p + 1)
+                               for m in _compositions(s, total)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,24 +131,19 @@ class GalerkinCouplings:
 def build_couplings(basis: MultiIndexSet) -> GalerkinCouplings:
     """Emit raising (weight m_n + 1) and lowering (weight 1) partners per mode.
 
-    Raised indices that leave the truncated set are dropped (boundary
-    truncation); lowered indices always stay inside.
+    A raised partner is kept exactly when the set contains it (boundary
+    truncation); lowered partners are always inside a downward-closed set.
     """
     rows = [[] for _ in range(basis.s)]
     cols = [[] for _ in range(basis.s)]
     data = [[] for _ in range(basis.s)]
     for m_pos, m in enumerate(basis.indices):
-        degree = sum(m)
         for n in range(basis.s):
-            if m[n] >= 1:
-                lowered = m[:n] + (m[n] - 1,) + m[n + 1:]
-                l_pos = basis.lookup[lowered]
-                rows[n].append(m_pos); cols[n].append(l_pos); data[n].append(1.0)
-            if degree < basis.p:
-                raised = m[:n] + (m[n] + 1,) + m[n + 1:]
-                l_pos = basis.lookup[raised]
-                weight = float(m[n] + 1)
-                rows[n].append(m_pos); cols[n].append(l_pos); data[n].append(weight)
+            lowered = basis.lookup.get(m[:n] + (m[n] - 1,) + m[n + 1:])
+            raised = basis.lookup.get(m[:n] + (m[n] + 1,) + m[n + 1:])
+            for l_pos, weight in ((lowered, 1.0), (raised, float(m[n] + 1))):
+                if l_pos is not None:
+                    rows[n].append(m_pos); cols[n].append(l_pos); data[n].append(weight)
     n_basis = basis.size
     matrices = tuple(
         sparse.csr_matrix((data[n], (rows[n], cols[n])), shape=(n_basis, n_basis))
@@ -186,7 +202,7 @@ def weighted_norm(state: PCEState) -> float:
     conserves exactly: the couplings are symmetric in the Hermite inner
     product and the commutator with V is anti-Hermitian."""
     flat = state.coefficients.reshape(state.basis.size, -1)
-    return _weighted_norm(flat, state.basis.weight_norms())
+    return _weighted_norm(flat, state.basis.weight_norms)
 
 
 def _weighted_norm(flat: np.ndarray, weights: np.ndarray) -> float:
@@ -278,7 +294,7 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
 
     n_basis, d = state.basis.size, state.dim
     stacked = sparse.hstack(couplings.mode_matrices, format="csr")
-    weights = state.basis.weight_norms()
+    weights = state.basis.weight_norms
     y = state.coefficients.reshape(n_basis, d * d).astype(complex)
     out = [PCEState(coefficients=state.coefficients, t=float(t_grid[0]),
                     basis=state.basis)]
@@ -345,5 +361,4 @@ def observable_variance(state: PCEState, obs, model: StochasticModel) -> float:
     u0 = frame_rotations(model, state.t)
     obs_rot = u0.conj().T @ obs @ u0
     values = np.einsum("ij,mji->m", obs_rot, state.coefficients).real
-    norms = state.basis.weight_norms()
-    return float(np.sum(norms[1:] * values[1:] ** 2))
+    return float(np.sum(state.basis.weight_norms[1:] * values[1:] ** 2))

@@ -379,13 +379,3 @@ def reconstruct_covariance(kle) -> np.ndarray:
     lam = np.array([m.eigenvalue for m in modes])
     return (g.T * lam) @ g
 
-
-def sample_from_kle(kle: TruncatedKLE, kernel, t_grid, rng) -> np.ndarray:
-    """One noise path Omega(t) = sum_n sqrt(lambda_n) g_n(t) xi_n on t_grid.
-
-    Diagnostic sampler: reproduces the *truncated* covariance, which is the
-    point - comparing against the exact sampler exposes truncation error.
-    """
-    scaled = scaled_modes_matrix(kle.modes, kernel, t_grid)
-    xi = rng.standard_normal(len(kle.modes))
-    return xi @ scaled

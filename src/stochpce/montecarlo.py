@@ -47,6 +47,7 @@ class MCConfig:
     batch is the number of trajectories between convergence checks; the run
     stops once the max-over-time stderr of the tracked observable drops to
     stderr_target, or when n_traj is exhausted (then flagged unconverged).
+    The field order is the key order of the [mc] section in a run file's echo.
     """
 
     n_traj: int

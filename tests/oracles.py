@@ -207,6 +207,43 @@ def galerkin_rk4_loop(coeffs, t_grid, dt_max, v_of_t, s_of_t,
     return np.array(out)
 
 
+def gauss_hermite_collocation_rk4(rho0, p: int, h: float, v_stage,
+                                  s_stage) -> np.ndarray:
+    """Hermite coefficients phi_0..phi_p of a one-mode model from
+    (p+1)-point Gauss-Hermite collocation.
+
+    Each node xi_k carries its own state under
+    d rho_k/dt = -i s(t) xi_k [V(t), rho_k], all starting from rho0, stepped
+    by classic RK4 with step h; v_stage (2K+1, d, d) and s_stage (2K+1,)
+    hold V(t) and s(t) on the half-step grid of the K steps.  The discrete
+    projection phi_m = sum_k w_k He_m(xi_k) rho_k / m! is exact for the
+    products of degree <= 2p that occur.  The order-p Galerkin coupling
+    matrix is the Jacobi matrix of He, whose eigenvalues are these nodes
+    (Golub & Welsch, Math. Comp. 23, 1969), so the order-p hierarchy
+    stepped on the same stage grid must give the same coefficients to
+    round-off.
+    """
+    nodes, weights = roots_hermitenorm(p + 1)
+    weights = weights / weights.sum()
+    rho = np.repeat(np.asarray(rho0, dtype=complex)[None], p + 1, axis=0)
+
+    def rhs(i, r):
+        v = v_stage[i]
+        return -1j * s_stage[i] * nodes[:, None, None] * (v @ r - r @ v)
+
+    for j in range((len(s_stage) - 1) // 2):
+        i0 = 2 * j
+        k1 = rhs(i0, rho)
+        k2 = rhs(i0 + 1, rho + (h / 2) * k1)
+        k3 = rhs(i0 + 1, rho + (h / 2) * k2)
+        k4 = rhs(i0 + 2, rho + h * k3)
+        rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    he = np.array([np.polynomial.hermite_e.hermeval(nodes, np.eye(p + 1)[m])
+                   for m in range(p + 1)])
+    norms = np.array([float(math.factorial(m)) for m in range(p + 1)])
+    return np.einsum("mk,k,kij->mij", he, weights, rho) / norms[:, None, None]
+
+
 class ConstantKernel:
     """C(lag) = a^2: one frozen Gaussian amplitude (rank-one covariance).
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import stochpce
-from stochpce import parse_config
+from stochpce import cli, parse_config
 from stochpce.cli import main
 
 TINY = """\
@@ -110,6 +110,32 @@ class TestKLECommand:
         echoed = "\n".join(line[2:] for line in comments[start:]
                            if line.startswith("  "))
         assert parse_config(echoed) == parse_config(TINY)
+
+    def test_relative_table_resolves_against_run_file(self, tmp_path,
+                                                      monkeypatch):
+        """A relative [noise] table is read next to the run file, from any
+        working directory; run from that directory, the echo keeps the path
+        as written."""
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        lags = 0.1 * np.arange(30)
+        np.savetxt(run_dir / "tab.txt", 0.16 * np.exp(-lags / 10.0))
+        text = TINY.replace("alpha = 0.4\ntau_c = 10.0",
+                            "kind = tabulated\ntable = tab.txt\nspacing = 0.1")
+        cfg = write_config(run_dir, text, name="tab.ini")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["kle", "--config", cfg, "--out", "out"]) == 0
+        assert (elsewhere / "out_modes.csv").exists()
+
+        monkeypatch.chdir(run_dir)
+        assert main(["kle", "--config", "tab.ini", "--out", "out"]) == 0
+        comments, _, _ = read_csv(run_dir / "out_modes.csv")
+        assert "  table = tab.txt" in comments
+        assert stable_bytes(run_dir / "out_modes.csv") == \
+            stable_bytes(elsewhere / "out_modes.csv").replace(
+                f"table = {run_dir / 'tab.txt'}", "table = tab.txt")
 
 
 class TestPCECommand:
@@ -232,6 +258,27 @@ class TestCompareCommand:
         assert main(["compare", "--config", cfg, "--out", prefix]) == 3
         assert main(["compare", "--config", cfg, "--out", prefix,
                      "--allow-unconverged"]) == 0
+
+    @pytest.mark.parametrize("command,sampler,solves", [
+        ("compare", "kle", 1), ("compare", "exact_ou", 1),
+        ("mc", "kle", 1), ("mc", "exact_ou", 0), ("pce", "exact_ou", 1),
+    ])
+    def test_one_kle_solve_per_command(self, tmp_path, monkeypatch, command,
+                                       sampler, solves):
+        """The PCE curve and the KLE-path Monte Carlo sampler share one
+        Fredholm solve and one rate ranking."""
+        calls = []
+        for name in ("solve_fredholm", "cumulative_rates"):
+            def counting(*args, _name=name, _original=getattr(cli, name),
+                         **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counting)
+        text = TINY.replace("seed = 777", f"seed = 777\nsampler = {sampler}")
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--allow-unconverged"]) == 0
+        assert calls == ["solve_fredholm", "cumulative_rates"] * solves
 
 
 class TestSweepCommand:

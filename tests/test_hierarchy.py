@@ -1,4 +1,5 @@
 """Hermite-Galerkin hierarchy: basis, couplings, integrator, moments."""
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     dephasing_sx_variance,
     galerkin_rk4_loop,
     galerkin_weight_quadrature,
+    gauss_hermite_collocation_rk4,
     hermite_moment_tables,
     static_ensemble_sx,
 )
@@ -23,6 +25,7 @@ from stochpce import (
     CapacityError,
     CorruptedStateError,
     DimensionMismatchError,
+    MultiIndexSet,
     OrnsteinUhlenbeckKernel,
     PropagationDivergedError,
     StochasticModel,
@@ -76,6 +79,14 @@ def build_kle(model, s, grid_size=200, candidates=12):
     return select_modes(modes, rates, s)
 
 
+def weighted_set(weights, level) -> MultiIndexSet:
+    """{m : sum_n weights[n] m_n <= level} in graded-lex order."""
+    ranges = [range(level // w + 1) for w in weights]
+    members = [m for m in itertools.product(*ranges)
+               if sum(w * mn for w, mn in zip(weights, m)) <= level]
+    return MultiIndexSet(tuple(sorted(members, key=lambda m: (sum(m), m))))
+
+
 def run_observable(model, s, p, t_grid, dt_max=1e-3, grid_size=200, obs=SIGMA_X):
     """End-to-end helper: KLE -> couplings -> propagate -> <obs>(t)."""
     kle = build_kle(model, s, grid_size=grid_size)
@@ -111,9 +122,31 @@ class TestMultiIndexSet:
 
     def test_weight_norms_are_factorial_products(self):
         basis = enumerate_indices(2, 3)
-        norms = basis.weight_norms()
+        norms = basis.weight_norms
         for pos, (a, b) in enumerate(basis.indices):
             assert norms[pos] == math.factorial(a) * math.factorial(b)
+        assert not norms.flags.writeable
+
+    def test_total_degree_set_from_indices(self):
+        """A set built from its indices alone derives what enumerate_indices
+        gives: s, p as the largest total degree, and the lookup."""
+        basis = enumerate_indices(3, 4)
+        rebuilt = MultiIndexSet(basis.indices)
+        assert (rebuilt.s, rebuilt.p, rebuilt.size) == (3, 4, 35)
+        assert rebuilt.lookup == basis.lookup
+
+    @pytest.mark.parametrize("indices,reason", [
+        (((0, 0), (1, 0), (1, 1)), "downward-closed"),  # (0, 1) missing
+        (((0, 0), (0, 2), (0, 1)), "graded-lex"),
+        (((0, 0), (1, 0), (0, 1)), "graded-lex"),  # lex order within degree 1
+        (((0, 0), (0, 1), (0, 1)), "graded-lex"),  # duplicate
+        (((1, 0), (0, 0)), "zero index"),
+        (((0, 0), (1,)), "length"),
+        ((), "zero index"),
+    ])
+    def test_rejects_sets_breaking_the_contract(self, indices, reason):
+        with pytest.raises(ValueError, match=reason):
+            MultiIndexSet(indices)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -167,6 +200,59 @@ class TestCouplings:
             else:
                 assert sum(l) == sum(m) - 1
                 assert weight == 1.0
+
+
+class TestWeightedSets:
+    """Downward-closed sets that follow the noise: on fig2 (lambda = 8.71,
+    0.175, 0.045) the weighted sets m1 + 3 m2 + 6 m3 <= 27 and <= 36."""
+
+    def test_sizes(self):
+        assert weighted_set((1, 3, 6), 27).size == 315
+        assert weighted_set((1, 3, 6), 36).size == 658
+        assert weighted_set((1, 3, 6), 27).p == 27
+
+    def test_weights_match_hermite_quadrature(self):
+        """Criterion 2's check on the N = 315 set: every (m, n, l) weight,
+        omitted zeros included, against Gauss-Hermite quadrature.
+
+        Both sides are compared in the orthonormal scaling, times
+        sqrt(E[Phi_m^2] / E[Phi_l^2]): at degree 27 the raw moments span
+        sqrt(27!) ~ 1e14, so a quadrature zero carries a rounding error of
+        up to 0.06 in the raw scaling and about 1e-16 in this one."""
+        basis = weighted_set((1, 3, 6), 27)
+        q0, q1 = hermite_moment_tables(basis.p + 1)
+        stored = coupling_weights(build_couplings(basis))
+        worst = 0.0
+        for m_pos, m in enumerate(basis.indices):
+            for n in range(basis.s):
+                for l_pos, l in enumerate(basis.indices):
+                    scale = math.sqrt(basis.weight_norms[m_pos]
+                                      / basis.weight_norms[l_pos])
+                    expected = galerkin_weight_quadrature(m, n, l, q0, q1)
+                    got = stored.get((m_pos, n, l_pos), 0.0)
+                    worst = max(worst, scale * abs(got - expected))
+        assert worst <= 1e-10
+
+    def test_fig2_weighted_sets_agree(self):
+        """<sx>(t) on fig2 from the N = 315 and N = 658 sets agrees to 1e-6,
+        and the weighted norm of the N = 315 run stays within 1e-9 of its
+        start (the total-degree p = 9 set is off by 0.52 here)."""
+        model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+        kle = build_kle(model, 3, grid_size=400, candidates=12)
+        t_grid = np.linspace(0.0, 1.0, 200)
+        curves = []
+        for level in (27, 36):
+            basis = weighted_set((1, 3, 6), level)
+            states = propagate(initial_pce_state(RHO_PLUS_X, basis), model,
+                               kle, build_couplings(basis), t_grid,
+                               dt_max=5e-3)
+            curves.append([observable_mean(st, SIGMA_X, model)
+                           for st in states])
+            if level == 27:
+                norm0 = weighted_norm(states[0])
+                drift = max(abs(weighted_norm(st) - norm0) for st in states)
+                assert drift <= 1e-9
+        assert np.max(np.abs(np.subtract(*curves))) <= 1e-6
 
 
 class TestRHS:
@@ -368,6 +454,25 @@ class TestPropagation:
         err_fine = np.max(np.abs(solutions[1] - solutions[2]))
         factor = err_coarse / err_fine
         assert 10.0 <= factor <= 24.0
+
+    @pytest.mark.parametrize("p", [3, 6, 10])
+    def test_one_mode_hierarchy_equals_gauss_hermite_collocation(self, p):
+        """For s = 1 the order-p hierarchy is (p+1)-point Gauss-Hermite
+        collocation in another basis; stepped by RK4 on the same stage grid
+        (fig2's dominant mode), the two agree to round-off."""
+        model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+        kle = build_kle(model, 1, grid_size=400, candidates=12)
+        basis = enumerate_indices(1, p)
+        final = propagate(initial_pce_state(RHO_PLUS_X, basis), model, kle,
+                          build_couplings(basis), [0.0, 1.0], dt_max=5e-3)[-1]
+        steps, h = 200, 1.0 / 200
+        stage_times = (h / 2) * np.arange(2 * steps + 1)
+        reference = gauss_hermite_collocation_rk4(
+            RHO_PLUS_X, p, h, rotating_frame_potential(model, stage_times),
+            scaled_modes_matrix(kle.modes, model.kernel, stage_times)[0])
+        assert np.max(np.abs(reference[1:])) > 0.05  # the noise moved it
+        np.testing.assert_allclose(final.coefficients, reference, rtol=0,
+                                   atol=1e-13)
 
     def test_zeroth_order_only_is_frozen(self):
         """P = 0 has no couplings: the single coefficient must not move at all."""

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import ConstantKernel, ou_kle_eigenvalues
 from stochpce import (
+    IDENTITY,
     SIGMA_X,
     SIGMA_Z,
     DegenerateModeError,
@@ -11,6 +12,7 @@ from stochpce import (
     KernelNotPositiveError,
     NumericalConsistencyError,
     OrnsteinUhlenbeckKernel,
+    StochasticModel,
     TabulatedKernel,
     TruncatedKLE,
     reconstruct_covariance,
@@ -22,10 +24,10 @@ from stochpce.kle import (
     cumulative_rates,
     default_candidate_count,
     evaluate_mode,
-    sample_from_kle,
     scaled_modes_matrix,
     transition_rate,
 )
+from stochpce.montecarlo import MCConfig, _EnsembleEngine
 
 
 class TestKernels:
@@ -301,8 +303,9 @@ class TestSelection:
 
 class TestSampling:
     def test_sample_covariance_matches_truncated_reconstruction(self):
-        """Paths built from S modes must reproduce the truncated covariance,
-        not the full kernel - that gap is exactly the truncation error."""
+        """Paths from the Monte Carlo kle sampler, built from S modes, must
+        reproduce the truncated covariance, not the full kernel - that gap is
+        exactly the truncation error."""
         kernel = OrnsteinUhlenbeckKernel(1.0, 0.1)
         modes = solve_fredholm(kernel, tau=1.0, grid_size=100, n_modes=12)
         rates = cumulative_rates(modes, np.zeros((2, 2)), SIGMA_Z, 1.0)
@@ -310,9 +313,17 @@ class TestSampling:
 
         t_grid = modes[0].grid.nodes
         n_paths = 6000
-        rng = np.random.default_rng(2024)
-        paths = np.stack([sample_from_kle(kle, kernel, t_grid, rng)
-                          for _ in range(n_paths)])
+        # two MC steps per quadrature interval: the nodes are the even steps
+        model = StochasticModel(h0=np.zeros((2, 2), dtype=complex), v=SIGMA_Z,
+                                kernel=kernel, horizon=1.0)
+        config = MCConfig(n_traj=n_paths, dt=0.5 * (t_grid[1] - t_grid[0]),
+                          seed=2024, sampler="kle")
+        engine = _EnsembleEngine(model, 0.5 * IDENTITY, config, t_grid,
+                                 SIGMA_Z, kle)
+        np.testing.assert_allclose(engine.t_grid[::2], t_grid, rtol=0,
+                                   atol=1e-14)
+        paths = np.stack([engine.sample_path(index)[::2]
+                          for index in range(n_paths)])
         sample_cov = (paths.T @ paths) / n_paths
         target = reconstruct_covariance(kle)
 
