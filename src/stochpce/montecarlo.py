@@ -6,17 +6,19 @@ exact piecewise unitaries in the rotating frame, and averages with running
 standard-error estimates on a tracked observable.
 
 Determinism contract: trajectory k draws from a counter-based substream
-keyed by (seed, k) and is stepped with the same arithmetic in any block, so
-results are bit-identical for a given (seed, config) regardless of execution
-order, block size or worker count.  Accumulation reduces each batch in a
-single fixed-order pairwise sum and then folds batches in index order.
+keyed by (seed, k), and both its noise path and its states are built with
+the same arithmetic in any block: the OU recursion and the stepper act
+elementwise per row, and KLE paths are per-row products.  So a path, and
+every result, is bit-identical for a given (seed, config) regardless of
+execution order, block size or worker count.  Accumulation reduces each
+batch in a single fixed-order pairwise sum and then folds batches in index
+order.
 """
 
 import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DimensionMismatchError
 from .kle import OrnsteinUhlenbeckKernel, TruncatedKLE, scaled_modes_matrix
@@ -102,26 +104,35 @@ def _require_uniform(t_grid: np.ndarray) -> float:
     return dt
 
 
-def sample_ou_path(kernel: OrnsteinUhlenbeckKernel, t_grid, rng) -> np.ndarray:
-    """Exact stationary OU samples at the grid times.
+def sample_ou_paths(kernel: OrnsteinUhlenbeckKernel, t_grid, rngs) -> np.ndarray:
+    """Exact stationary OU samples at the grid times, one row per generator.
 
     Omega(t_0) ~ N(0, alpha^2); Omega(t_{k+1}) = r Omega(t_k)
     + alpha sqrt(1 - r^2) z_k with r = exp(-dt / tau_c).  The discrete path
     has exactly the continuous process's marginals and covariance at grid
-    times, so Monte Carlo carries no SDE discretization bias.
+    times, so Monte Carlo carries no SDE discretization bias.  Row b draws
+    its start and then its innovations from rngs[b]; the recursion advances
+    all rows one grid step at a time, so a row does not depend on the block.
+    Returns a (len(rngs), n_grid) array.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _require_uniform(t_grid)
     alpha = kernel.alpha
-    n = t_grid.size
-    x0 = alpha * rng.standard_normal()
-    if n == 1:
-        return np.array([x0])
     r = np.exp(-dt / kernel.tau_c)
-    innovations = alpha * np.sqrt(1.0 - r * r) * rng.standard_normal(n - 1)
-    # AR(1) recursion as a linear filter with the stationary start as state
-    tail, _ = lfilter([1.0], [1.0, -r], innovations, zi=np.array([r * x0]))
-    return np.concatenate(([x0], tail))
+    scale = alpha * np.sqrt(1.0 - r * r)
+    # column b holds path b, so each recursion step updates one contiguous row
+    paths = np.empty((t_grid.size, len(rngs)))
+    for b, rng in enumerate(rngs):
+        paths[0, b] = alpha * rng.standard_normal()
+        paths[1:, b] = scale * rng.standard_normal(t_grid.size - 1)
+    for k in range(1, t_grid.size):
+        paths[k] += r * paths[k - 1]
+    return paths.T
+
+
+def sample_ou_path(kernel: OrnsteinUhlenbeckKernel, t_grid, rng) -> np.ndarray:
+    """One exact stationary OU path at the grid times (see sample_ou_paths)."""
+    return sample_ou_paths(kernel, t_grid, [rng])[0]
 
 
 class _TrajectoryStepper:
@@ -226,19 +237,23 @@ class _EnsembleEngine:
         else:
             self.scaled_modes = None
 
-    def sample_path(self, index: int) -> np.ndarray:
-        """Trajectory index's noise path on the step grid, from its own substream."""
-        rng = trajectory_rng(self.seed, index)
+    def sample_paths(self, indices) -> np.ndarray:
+        """(B, n_grid) noise paths on the step grid of the trajectories in
+        indices, each from its own substream."""
+        rngs = [trajectory_rng(self.seed, index) for index in indices]
         if self.scaled_modes is None:
-            return sample_ou_path(self.kernel, self.t_grid, rng)
-        xi = rng.standard_normal(self.scaled_modes.shape[0])
-        return xi @ self.scaled_modes
+            return sample_ou_paths(self.kernel, self.t_grid, rngs)
+        # one xi @ scaled_modes product per row: a (B, s) @ (s, n) product
+        # can differ in the last bit, so a path would depend on its block
+        n_modes = self.scaled_modes.shape[0]
+        return np.stack([rng.standard_normal(n_modes) @ self.scaled_modes
+                         for rng in rngs])
 
     def run_block(self, indices: range, rho_out: np.ndarray,
                   obs_out: np.ndarray) -> None:
         """Recorded states and tracked-observable samples of the trajectories
         in indices, written to the matching rows of rho_out and obs_out."""
-        paths = np.stack([self.sample_path(index) for index in indices])
+        paths = self.sample_paths(indices)
         self.stepper.propagate(paths, self.rho0, self.record_idx, rho_out)
         for rhos, obs in zip(rho_out, obs_out):
             obs[:] = np.einsum("tij,tji->t", self.obs_rot, rhos).real

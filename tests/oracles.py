@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.signal import lfilter
 from scipy.special import roots_hermitenorm
 
 
@@ -123,6 +124,27 @@ def static_ensemble_sx(a: float, t, n_nodes: int = 400) -> np.ndarray:
         1.0 + w2[:, None])
     return weights @ curves
 
+
+
+# ---------------------------------------------------------------------------
+# Exact Ornstein-Uhlenbeck path as a linear filter, one trajectory at a time
+# ---------------------------------------------------------------------------
+
+def ou_path_lfilter(alpha: float, tau_c: float, t_grid, rng) -> np.ndarray:
+    """Exact stationary OU samples on a uniform grid of >= 2 points.
+
+    Draws x0 = alpha z_0 and then the n-1 innovations alpha sqrt(1 - r^2) z_k
+    from rng, and runs the AR(1) recursion x_{k+1} = r x_k + innovation_k,
+    r = exp(-dt / tau_c), as scipy's lfilter with the stationary start as
+    its state.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    dt = float(t_grid[1] - t_grid[0])
+    x0 = alpha * rng.standard_normal()
+    r = np.exp(-dt / tau_c)
+    innovations = alpha * np.sqrt(1.0 - r * r) * rng.standard_normal(t_grid.size - 1)
+    tail, _ = lfilter([1.0], [1.0, -r], innovations, zi=np.array([r * x0]))
+    return np.concatenate(([x0], tail))
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,17 @@ class TestEntryPoint:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
 
+    def test_cli_import_loads_no_heavy_scipy_subpackage(self):
+        """Start-up cost: importing the CLI pulls in scipy.sparse only, not
+        scipy.signal (nor the scipy.stats / scipy.interpolate it imports)."""
+        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+        probe = ("import sys\nimport stochpce.cli\n"
+                 f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "", proc.stdout
+
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
         prefix = str(tmp_path / "out")

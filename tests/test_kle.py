@@ -322,8 +322,7 @@ class TestSampling:
                                  SIGMA_Z, kle)
         np.testing.assert_allclose(engine.t_grid[::2], t_grid, rtol=0,
                                    atol=1e-14)
-        paths = np.stack([engine.sample_path(index)[::2]
-                          for index in range(n_paths)])
+        paths = engine.sample_paths(range(n_paths))[:, ::2]
         sample_cov = (paths.T @ paths) / n_paths
         target = reconstruct_covariance(kle)
 

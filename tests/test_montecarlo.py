@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from oracles import static_realization_sx, trajectory_states_loop
+from oracles import ou_path_lfilter, static_realization_sx, trajectory_states_loop
 from stochpce import (
     IDENTITY,
     SIGMA_X,
@@ -96,8 +96,8 @@ class TestOUSampler:
         t_grid = np.linspace(0.0, 1.0, 26)
         n_paths = 20000
         rng = np.random.default_rng(42)
-        paths = np.stack([sample_ou_path(kernel, t_grid, rng)
-                          for _ in range(n_paths)])
+        # one generator for every row: rows draw from it in turn
+        paths = montecarlo.sample_ou_paths(kernel, t_grid, [rng] * n_paths)
 
         for k in (0, 12, 25):
             expected = alpha**2 * np.exp(-t_grid[k] / tau_c)
@@ -109,6 +109,39 @@ class TestOUSampler:
         # marginal variance along the grid (stationarity)
         var_end = np.mean(paths[:, -1] ** 2)
         assert abs(var_end - alpha**2) < 4 * alpha**2 * np.sqrt(2 / n_paths)
+
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    @pytest.mark.parametrize("alpha,tau_c", [(3.0, 10.0), (1.5, 1e-3)],
+                             ids=["fig2", "short_tau_c"])
+    def test_block_sampler_matches_lfilter(self, alpha, tau_c, block):
+        """The block recursion gives bitwise the lfilter path of each
+        trajectory's substream, alone or in a block, on fig2's MC step grid
+        (598 points, r = exp(-dt/10)) and with r = exp(-dt/1e-3)."""
+        model = make_model(alpha=alpha, tau_c=tau_c)
+        config = MCConfig(n_traj=1000, dt=0.002, seed=12345)
+        engine = montecarlo._EnsembleEngine(model, RHO_PLUS_X, config,
+                                            np.linspace(0.0, 1.0, 200),
+                                            SIGMA_X, None)
+        assert engine.t_grid.size == 598
+        indices = range(5, 5 + block)
+        paths = engine.sample_paths(indices)
+        assert paths.shape == (block, 598)
+        for row, index in enumerate(indices):
+            expected = ou_path_lfilter(alpha, tau_c, engine.t_grid,
+                                       trajectory_rng(12345, index))
+            np.testing.assert_array_equal(paths[row], expected)
+            np.testing.assert_array_equal(
+                sample_ou_path(model.kernel, engine.t_grid,
+                               trajectory_rng(12345, index)), expected)
+
+    @pytest.mark.parametrize("t_grid", [np.array([]), np.array([0.0])])
+    def test_rejects_grid_without_a_step(self, t_grid):
+        kernel = OrnsteinUhlenbeckKernel(1.0, 1.0)
+        with pytest.raises(ValueError):
+            sample_ou_path(kernel, t_grid, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            montecarlo.sample_ou_paths(kernel, t_grid,
+                                       [np.random.default_rng(0)] * 3)
 
 
 class TestTrajectoryPropagation:
@@ -308,6 +341,22 @@ class TestEnsemble:
         config = MCConfig(n_traj=10, dt=0.01, seed=1, sampler="kle")
         with pytest.raises(ValueError):
             mc_average(model, RHO_PLUS_X, config, np.linspace(0, 1, 6))
+
+    def test_kle_block_rows_are_per_row_products(self):
+        """A kle block is one xi @ scaled_modes product per row, bitwise: a
+        (B, s) @ (s, n) product differs in the last bits on fig2."""
+        model = make_model()
+        modes = solve_fredholm(model.kernel, 1.0, 200, 12)
+        kle = select_modes(modes, cumulative_rates(modes, model.h0, model.v, 1.0), 3)
+        config = MCConfig(n_traj=1000, dt=0.002, seed=12345, sampler="kle")
+        engine = montecarlo._EnsembleEngine(model, RHO_PLUS_X, config,
+                                            np.linspace(0.0, 1.0, 200),
+                                            SIGMA_X, kle)
+        indices = range(5, 5 + 128)
+        paths = engine.sample_paths(indices)
+        for row, index in enumerate(indices):
+            xi = trajectory_rng(12345, index).standard_normal(3)
+            np.testing.assert_array_equal(paths[row], xi @ engine.scaled_modes)
 
     def test_kle_sampler_agrees_when_truncation_is_mild(self):
         """At tau_c = 10 three modes carry almost the whole kernel, so the
