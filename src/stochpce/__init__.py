@@ -15,7 +15,6 @@ from .errors import (
     CapacityError,
     ConfigError,
     CorruptedStateError,
-    DegenerateModeError,
     DimensionMismatchError,
     InvalidOperatorError,
     KernelNotPositiveError,
@@ -45,17 +44,13 @@ from .kle import (
     TruncatedKLE,
     cumulative_rates,
     default_candidate_count,
-    evaluate_mode,
-    reconstruct_covariance,
     select_modes,
     solve_fredholm,
-    transition_rate,
 )
 from .montecarlo import (
     MCConfig,
     MCEnsemble,
     mc_average,
-    propagate_trajectory,
     sample_ou_path,
 )
 from .operators import (
@@ -76,24 +71,22 @@ __all__ = [
     # errors
     "StochPCEError", "InvalidOperatorError", "DimensionMismatchError",
     "NumericalConsistencyError", "KernelNotPositiveError",
-    "DegenerateModeError", "CapacityError", "PropagationDivergedError",
-    "CorruptedStateError", "ConfigError",
+    "CapacityError", "PropagationDivergedError", "CorruptedStateError",
+    "ConfigError",
     # operators
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY", "StochasticModel",
     "frame_rotations", "rotating_frame_potential", "expectation",
     "validate_density_matrix",
     # kle
     "OrnsteinUhlenbeckKernel", "TabulatedKernel", "QuadratureGrid", "KLMode",
-    "TruncatedKLE", "ModeRecord", "solve_fredholm", "evaluate_mode",
-    "transition_rate", "cumulative_rates", "select_modes",
-    "reconstruct_covariance", "default_candidate_count",
+    "TruncatedKLE", "ModeRecord", "solve_fredholm", "cumulative_rates",
+    "select_modes", "default_candidate_count",
     # hierarchy
     "MultiIndexSet", "GalerkinCouplings", "PCEState", "enumerate_indices",
     "build_couplings", "initial_pce_state", "propagate",
     "mean_state", "observable_mean", "observable_variance", "min_eigenvalue",
     # monte carlo
-    "MCConfig", "MCEnsemble", "sample_ou_path", "propagate_trajectory",
-    "mc_average",
+    "MCConfig", "MCEnsemble", "sample_ou_path", "mc_average",
     # config
     "RunConfig", "parse_config", "emit_config", "load_config",
 ]

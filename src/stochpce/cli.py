@@ -115,7 +115,7 @@ def _solve_modes(config: RunConfig, model):
     modes = solve_fredholm(model.kernel, config.model.tau,
                            grid_size=config.kle.grid_size,
                            n_modes=config.kle.candidate_modes)
-    rates = cumulative_rates(modes, model.h0, model.v, config.model.tau)
+    rates = cumulative_rates(modes, model)
     return modes, rates
 
 

@@ -25,10 +25,6 @@ class KernelNotPositiveError(StochPCEError):
     """Correlation kernel is not positive semidefinite (Bochner violation)."""
 
 
-class DegenerateModeError(StochPCEError):
-    """Nystrom extension requested for a null (zero-eigenvalue) mode."""
-
-
 class CapacityError(StochPCEError):
     """Requested basis size exceeds the supported capacity."""
 

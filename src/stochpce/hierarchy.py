@@ -289,7 +289,7 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
         raise ValueError("t_grid must be strictly increasing")
     if dt_max is None:
         dt_max = model.horizon / DEFAULT_SUBSTEP_FRACTION
-    if dt_max <= 0:
+    if not (dt_max > 0):
         raise ValueError(f"dt_max must be positive, got {dt_max}")
 
     n_basis, d = state.basis.size, state.dim

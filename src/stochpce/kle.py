@@ -4,9 +4,13 @@ Solves the Fredholm eigenproblem
 
     integral_0^tau C(t1, t2) g_n(t2) dt2 = lambda_n g_n(t1)
 
-by Nystrom discretization on a uniform trapezoid grid, computes
-perturbation-theoretic transition rates for each mode against a driven
-system, and selects the modes that matter most for the dynamics.
+by Nystrom discretization on a uniform trapezoid grid, ranks the modes by
+their perturbation-theoretic transition rates against a driven system
+(cumulative_rates), selects the modes that matter most for the dynamics
+(select_modes), and evaluates the retained modes between grid nodes as the
+rows sqrt(lambda_n) g_n(t) the propagators consume (scaled_modes_matrix).
+Each of these acts on all modes at once: h0's eigensystem, the phase
+factors and the kernel matrix are built once per call, not once per mode.
 
 Conventions:
   - eigenfunctions are L2-normalized on the quadrature grid
@@ -14,7 +18,9 @@ Conventions:
     (falling back to g(t_0) >= 0 when that sum vanishes);
   - eigenvalues in [-1e-6 * lambda_max, 0) are roundoff and clamped to
     zero; anything lower means an indefinite kernel and raises
-    KernelNotPositiveError.
+    KernelNotPositiveError;
+  - a null mode (eigenvalue <= 1e-12 * lambda_max) is kept, not rejected:
+    it gets a zero row in scaled_modes_matrix and a negligible rate.
 """
 
 from dataclasses import dataclass
@@ -22,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateModeError,
     DimensionMismatchError,
     KernelNotPositiveError,
     NumericalConsistencyError,
@@ -156,11 +161,9 @@ class KLMode:
     values: np.ndarray
     grid: QuadratureGrid
     index: int
-    lambda_max: float = None
+    lambda_max: float
 
     def __post_init__(self):
-        if self.lambda_max is None:
-            object.__setattr__(self, "lambda_max", self.eigenvalue)
         if self.eigenvalue < 0:
             raise ValueError(f"eigenvalue must be nonnegative, got {self.eigenvalue}")
         values = np.asarray(self.values, dtype=float)
@@ -225,75 +228,64 @@ def solve_fredholm(kernel, tau: float, grid_size: int = 400,
     return modes
 
 
-def evaluate_mode(mode: KLMode, kernel, t):
-    """Nystrom extension g(t) = (1/lambda) sum_k w_k C(t, t_k) g(t_k).
-
-    Exact at grid nodes; smooth in between.  Undefined for null modes.
-    Accepts scalar or array t and returns a matching shape.
-    """
-    if mode.is_null():
-        raise DegenerateModeError(
-            f"mode {mode.index} has eigenvalue {mode.eigenvalue!r}; "
-            "the Nystrom extension is undefined for null modes")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    lags = np.abs(t_arr[:, None] - mode.grid.nodes[None, :])
-    out = kernel.at_lag(lags) @ (mode.grid.weights * mode.values) / mode.eigenvalue
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out[0])
-    return out
+def _shared_grid(modes) -> QuadratureGrid:
+    """The one quadrature grid every mode is sampled on."""
+    if not modes:
+        raise ValueError("no modes given")
+    grid = modes[0].grid
+    if any(mode.grid is not grid for mode in modes[1:]):
+        raise DimensionMismatchError("modes must share a quadrature grid")
+    return grid
 
 
 def scaled_modes_matrix(modes, kernel, times) -> np.ndarray:
     """Rows of sqrt(lambda_n) g_n(t) over the given times; null modes give zero rows.
 
-    This is the quantity the propagators consume, and it is well defined for
-    every mode: sqrt(lambda) g(t) = sqrt(lambda) *(Nystrom extension) tends to
-    zero as lambda does, so null modes contribute nothing.
+    g_n(t) is the Nystrom extension (1/lambda_n) sum_k w_k C(t, t_k) g_n(t_k),
+    exact at the grid nodes and smooth in between.  This is the quantity the
+    propagators consume, and it is well defined for every mode: sqrt(lambda) g(t)
+    tends to zero as lambda does, so null modes contribute nothing.  The kernel
+    matrix C(t, t_k) is built once; each row stays its own matrix-vector
+    product, because one matrix-matrix product differs in the last bits.
     """
+    grid = _shared_grid(modes)
     times = np.asarray(times, dtype=float)
+    kernel_matrix = kernel.at_lag(np.abs(np.atleast_1d(times)[:, None]
+                                         - grid.nodes[None, :]))
     out = np.zeros((len(modes), times.size))
     for row, mode in enumerate(modes):
         if mode.is_null():
             continue
-        out[row] = np.sqrt(mode.eigenvalue) * evaluate_mode(mode, kernel, times)
+        extension = kernel_matrix @ (grid.weights * mode.values) / mode.eigenvalue
+        out[row] = np.sqrt(mode.eigenvalue) * extension
     return out
 
 
-def transition_rate(mode: KLMode, h0, v, tau: float) -> float:
-    """Cumulative perturbative rate of the mode against the system (h0, v).
+def cumulative_rates(modes, model) -> list[float]:
+    """Cumulative perturbative rate of each mode against the model's (h0, v).
 
-    Diagonalizes h0 into (E_j, |j>) and sums, over all ordered level pairs
-    including j = k,
+    With h0 = sum_j E_j |j><j| (the model's cached eigensystem) and
+    tau = model.horizon, the rate of a mode sums, over all ordered level
+    pairs including j = k,
 
         (1/tau) |<j|v|k> integral_0^tau e^{i (E_j - E_k) t} sqrt(lambda) g(t) dt|^2
 
-    with the integral taken by quadrature on the mode's grid.  When v is
-    diagonal in a nondegenerate h0 eigenbasis only the j = k terms remain.
+    with the integral taken by quadrature on the modes' shared grid.  When v
+    is diagonal in a nondegenerate h0 eigenbasis only the j = k terms remain.
     For degenerate h0 spectra the eigenbasis (hence the rate split across the
     degenerate subspace) is solver-dependent; the cumulative sum is still
-    well defined up to that basis choice.
+    well defined up to that basis choice.  Rates come in the order of modes.
     """
-    from .operators import check_hermitian, check_same_dim
-
-    h0 = check_hermitian(h0)
-    v = check_hermitian(v)
-    check_same_dim(h0, v)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    energies, states = np.linalg.eigh(h0)
-    v_eig = states.conj().T @ v @ states
-    sq_lg = np.sqrt(mode.eigenvalue) * mode.values
-    t = mode.grid.nodes
+    grid = _shared_grid(modes)
+    energies, states = model.h0_eigensystem()
+    v_eig_sq = np.abs(states.conj().T @ model.v @ states) ** 2
     gaps = energies[:, None] - energies[None, :]
-    phases = np.exp(1j * gaps[:, :, None] * t[None, None, :])
-    integrals = phases @ (mode.grid.weights * sq_lg)
-    rate = float(np.sum(np.abs(v_eig) ** 2 * np.abs(integrals) ** 2) / tau)
-    return rate
-
-
-def cumulative_rates(modes, h0, v, tau: float) -> list[float]:
-    """transition_rate for each mode, in the given order."""
-    return [transition_rate(mode, h0, v, tau) for mode in modes]
+    phases = np.exp(1j * gaps[:, :, None] * grid.nodes[None, None, :])
+    rates = []
+    for mode in modes:
+        integrals = phases @ (grid.weights * (np.sqrt(mode.eigenvalue) * mode.values))
+        rates.append(float(np.sum(v_eig_sq * np.abs(integrals) ** 2) / model.horizon))
+    return rates
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,19 +329,16 @@ def select_modes(modes, rates, s: int) -> TruncatedKLE:
     chosen = order[:s]
     chosen_set = set(chosen)
 
-    grid = modes[0].grid
-    for mode in modes[1:]:
-        if mode.grid is not grid:
-            raise DimensionMismatchError("modes must share a quadrature grid")
-    for a_pos in range(s):
-        for b_pos in range(a_pos + 1, s):
-            ga = modes[chosen[a_pos]].values
-            gb = modes[chosen[b_pos]].values
-            overlap = float(np.sum(grid.weights * ga * gb))
-            if not (abs(overlap) <= ORTHOGONALITY_TOL):
-                raise NumericalConsistencyError(
-                    f"retained modes {modes[chosen[a_pos]].index} and "
-                    f"{modes[chosen[b_pos]].index} not orthogonal: {overlap:.3e}")
+    grid = _shared_grid(modes)
+    kept = np.stack([modes[i].values for i in chosen])
+    overlaps = np.triu((kept * grid.weights) @ kept.T, k=1)
+    bad = np.argwhere(~(np.abs(overlaps) <= ORTHOGONALITY_TOL))
+    if bad.size:
+        a_pos, b_pos = bad[0]
+        raise NumericalConsistencyError(
+            f"retained modes {modes[chosen[a_pos]].index} and "
+            f"{modes[chosen[b_pos]].index} not orthogonal: "
+            f"{overlaps[a_pos, b_pos]:.3e}")
 
     report = tuple(
         ModeRecord(index=modes[i].index, eigenvalue=modes[i].eigenvalue,
@@ -363,19 +352,3 @@ def select_modes(modes, rates, s: int) -> TruncatedKLE:
 def default_candidate_count(s: int) -> int:
     """How many modes to rank before selecting s of them."""
     return max(4 * s, 12)
-
-
-def reconstruct_covariance(kle) -> np.ndarray:
-    """sum_n lambda_n g_n(t_i) g_n(t_j) over the given modes.
-
-    Accepts a TruncatedKLE or any iterable of KLMode sharing a grid.  With
-    every mode of a solve retained this reproduces the kernel matrix; with a
-    truncation it shows exactly the covariance the truncated model sees.
-    """
-    modes = kle.modes if isinstance(kle, TruncatedKLE) else tuple(kle)
-    if not modes:
-        raise ValueError("no modes given")
-    g = np.stack([m.values for m in modes])
-    lam = np.array([m.eigenvalue for m in modes])
-    return (g.T * lam) @ g
-

@@ -71,7 +71,7 @@ class MCConfig:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.stderr_target <= 0:
+        if not (self.stderr_target > 0):
             raise ValueError(f"stderr_target must be positive, got {self.stderr_target}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -99,7 +99,9 @@ def _require_uniform(t_grid: np.ndarray) -> float:
     if steps.size == 0:
         raise ValueError("grid needs at least two points")
     dt = float(steps[0])
-    if np.any(np.abs(steps - dt) > GRID_UNIFORMITY_TOL * max(abs(dt), 1.0)):
+    if not (dt > 0):
+        raise ValueError(f"grid must increase, got a step of {dt!r}")
+    if np.any(np.abs(steps - dt) > GRID_UNIFORMITY_TOL * max(dt, 1.0)):
         raise ValueError("grid must be uniform")
     return dt
 
@@ -174,28 +176,6 @@ class _TrajectoryStepper:
             rho = u @ rho @ u.conj().transpose(0, 2, 1)
             if k + 1 in record_at:
                 out[:, record_at[k + 1]] = rho
-
-
-def propagate_trajectory(model: StochasticModel, path, rho0) -> np.ndarray:
-    """Rotating-frame density matrix at every grid time for one noise path.
-
-    The path is taken as samples on the uniform propagation grid
-    linspace(0, horizon, len(path)).  Each step applies the exact unitary of
-    the piecewise-constant generator Omega_mid V(t_mid) with Omega linearly
-    interpolated to the midpoint, so trace and positivity are preserved
-    exactly.  Returns an (n_times, d, d) array; index 0 is rho0.
-    """
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 1 or path.size < 2:
-        raise ValueError("path must be a 1-D array of >= 2 samples")
-    rho0 = validate_density_matrix(rho0)
-    if rho0.shape[0] != model.dim:
-        raise DimensionMismatchError("rho0 dimension does not match the model")
-    t_grid = np.linspace(0.0, model.horizon, path.size)
-    out = np.empty((1, path.size, model.dim, model.dim), dtype=complex)
-    _TrajectoryStepper(model, t_grid).propagate(path[None, :], rho0,
-                                                np.arange(path.size), out)
-    return out[0]
 
 
 def _resolve_step_grid(model: StochasticModel, config: MCConfig,

@@ -189,6 +189,32 @@ def trajectory_states_loop(h0, v, t_grid, path, rho0, record_idx) -> np.ndarray:
     return out
 
 # ---------------------------------------------------------------------------
+# Karhunen-Loeve mode quantities, one mode at a time
+# ---------------------------------------------------------------------------
+
+def transition_rate_loop(h0, v, tau: float, eigenvalue: float, values,
+                         nodes, weights) -> float:
+    """One mode's cumulative perturbative rate with h0 diagonalised for that
+    mode alone: (1/tau) sum_jk |<j|v|k> sum_i w_i e^{i (E_j - E_k) t_i}
+    sqrt(lambda) g(t_i)|^2 over the eigenbasis of eigh(h0)."""
+    energies, states = np.linalg.eigh(h0)
+    v_eig = states.conj().T @ v @ states
+    gaps = energies[:, None] - energies[None, :]
+    phases = np.exp(1j * gaps[:, :, None] * nodes[None, None, :])
+    integrals = phases @ (weights * (np.sqrt(eigenvalue) * values))
+    return float(np.sum(np.abs(v_eig) ** 2 * np.abs(integrals) ** 2) / tau)
+
+
+def nystrom_row_loop(kernel, eigenvalue: float, values, nodes, weights,
+                     times) -> np.ndarray:
+    """sqrt(lambda) g(t) at the times from a kernel matrix built for this mode
+    alone, with g(t) = (1/lambda) sum_k w_k C(t, t_k) g(t_k)."""
+    lags = np.abs(np.asarray(times, dtype=float)[:, None] - nodes[None, :])
+    return np.sqrt(eigenvalue) * (kernel.at_lag(lags) @ (weights * values)
+                                  / eigenvalue)
+
+
+# ---------------------------------------------------------------------------
 # Galerkin hierarchy RHS as a per-coefficient commutator, and its RK4 loop
 # ---------------------------------------------------------------------------
 

@@ -170,7 +170,7 @@ def test_criterion_4_dephasing_closed_form():
     modes = solve_fredholm(model.kernel, config.model.tau,
                            grid_size=config.kle.grid_size,
                            n_modes=config.kle.candidate_modes)
-    rates = cumulative_rates(modes, model.h0, model.v, config.model.tau)
+    rates = cumulative_rates(modes, model)
     kle = select_modes(modes, rates, config.kle.s)
     basis = enumerate_indices(config.kle.s, config.pce.p)
     states = propagate(initial_pce_state(rho0, basis), model, kle,
@@ -280,7 +280,7 @@ def test_criterion_8_structural_invariants():
     config = _preset_config("fig2")
     model = config.build_model()
     modes = solve_fredholm(model.kernel, 1.0, grid_size=400, n_modes=12)
-    rates = cumulative_rates(modes, model.h0, model.v, 1.0)
+    rates = cumulative_rates(modes, model)
     kle = select_modes(modes, rates, 3)
     basis = enumerate_indices(3, 9)
     states = propagate(initial_pce_state(rho0, basis), model, kle,
@@ -295,7 +295,7 @@ def test_criterion_8_structural_invariants():
                             kernel=OrnsteinUhlenbeckKernel(1.0, 1.0),
                             horizon=0.5)
     modes_small = solve_fredholm(small.kernel, 0.5, grid_size=200, n_modes=12)
-    rates_small = cumulative_rates(modes_small, small.h0, small.v, 0.5)
+    rates_small = cumulative_rates(modes_small, small)
     kle_small = select_modes(modes_small, rates_small, 2)
     basis_small = enumerate_indices(2, 3)
     couplings_small = build_couplings(basis_small)

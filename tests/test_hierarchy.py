@@ -75,7 +75,7 @@ def make_model(kernel, h0=SIGMA_X, v=SIGMA_Z, horizon=1.0):
 
 def build_kle(model, s, grid_size=200, candidates=12):
     modes = solve_fredholm(model.kernel, model.horizon, grid_size, candidates)
-    rates = cumulative_rates(modes, model.h0, model.v, model.horizon)
+    rates = cumulative_rates(modes, model)
     return select_modes(modes, rates, s)
 
 
@@ -367,6 +367,9 @@ class TestPropagateValidation:
         with pytest.raises(ValueError):
             propagate(self.state, self.model, self.kle, self.couplings,
                       [0.0, 1.0], dt_max=0.0)
+        with pytest.raises(ValueError):
+            propagate(self.state, self.model, self.kle, self.couplings,
+                      [0.0, 1.0], dt_max=float("nan"))
 
     def test_diverged_trace_detected(self):
         bad = np.zeros((self.basis.size, 2, 2), dtype=complex)

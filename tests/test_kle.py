@@ -2,12 +2,16 @@
 import numpy as np
 import pytest
 
-from oracles import ConstantKernel, ou_kle_eigenvalues
+from oracles import (
+    ConstantKernel,
+    nystrom_row_loop,
+    ou_kle_eigenvalues,
+    transition_rate_loop,
+)
 from stochpce import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Z,
-    DegenerateModeError,
     DimensionMismatchError,
     KernelNotPositiveError,
     NumericalConsistencyError,
@@ -15,7 +19,6 @@ from stochpce import (
     StochasticModel,
     TabulatedKernel,
     TruncatedKLE,
-    reconstruct_covariance,
     select_modes,
     solve_fredholm,
 )
@@ -23,11 +26,20 @@ from stochpce.kle import (
     QuadratureGrid,
     cumulative_rates,
     default_candidate_count,
-    evaluate_mode,
     scaled_modes_matrix,
-    transition_rate,
 )
 from stochpce.montecarlo import MCConfig, _EnsembleEngine
+
+
+def make_model(kernel, h0=np.zeros((2, 2)), v=SIGMA_Z, horizon=1.0):
+    return StochasticModel(h0=h0, v=v, kernel=kernel, horizon=horizon)
+
+
+def covariance(modes) -> np.ndarray:
+    """sum_n lambda_n g_n(t_i) g_n(t_j) over the given modes on their grid."""
+    g = np.stack([m.values for m in modes])
+    lam = np.array([m.eigenvalue for m in modes])
+    return (g.T * lam) @ g
 
 
 class TestKernels:
@@ -153,24 +165,41 @@ class TestModeEvaluation:
                                     n_modes=4)
 
     def test_nystrom_exact_at_nodes(self):
-        mode = self.modes[0]
-        np.testing.assert_allclose(
-            evaluate_mode(mode, self.kernel, mode.grid.nodes),
-            mode.values, atol=1e-10)
+        nodes = self.modes[0].grid.nodes
+        scaled = scaled_modes_matrix(self.modes, self.kernel, nodes)
+        lam = np.array([m.eigenvalue for m in self.modes])
+        np.testing.assert_allclose(scaled / np.sqrt(lam)[:, None],
+                                   [m.values for m in self.modes], atol=1e-10)
 
     def test_nystrom_scalar_and_midpoint(self):
+        """A scalar time gives one column, between the neighbouring samples."""
         mode = self.modes[1]
         mid = 0.5 * (mode.grid.nodes[10] + mode.grid.nodes[11])
-        value = evaluate_mode(mode, self.kernel, mid)
-        assert isinstance(value, float)
+        scaled = scaled_modes_matrix(self.modes, self.kernel, mid)
+        assert scaled.shape == (4, 1)
+        value = scaled[1, 0] / np.sqrt(mode.eigenvalue)
         lo, hi = sorted((mode.values[10], mode.values[11]))
         assert lo - 1e-3 <= value <= hi + 1e-3
 
-    def test_null_mode_rejected(self):
-        null_mode = solve_fredholm(ConstantKernel(1.0), tau=1.0,
-                                   grid_size=60)[5]
-        with pytest.raises(DegenerateModeError):
-            evaluate_mode(null_mode, ConstantKernel(1.0), 0.3)
+    def test_kernel_evaluated_once_for_all_modes(self):
+        """One kernel matrix per call, and each row bitwise its own
+        matrix-vector product: a matrix-matrix product over the rows differs
+        in the last bits."""
+        lag_shapes = []
+
+        class CountingKernel:
+            def at_lag(_, lag):
+                lag_shapes.append(np.shape(lag))
+                return self.kernel.at_lag(lag)
+
+        grid = self.modes[0].grid
+        times = np.linspace(0.0, 1.0, 301)
+        scaled = scaled_modes_matrix(self.modes[:3], CountingKernel(), times)
+        assert lag_shapes == [(301, grid.size)]
+        for row, mode in zip(scaled, self.modes[:3]):
+            np.testing.assert_array_equal(
+                row, nystrom_row_loop(self.kernel, mode.eigenvalue, mode.values,
+                                      grid.nodes, grid.weights, times))
 
     def test_scaled_matrix_zeroes_null_modes(self):
         kernel = ConstantKernel(1.0)
@@ -186,7 +215,7 @@ class TestReconstruction:
     def test_full_solve_reproduces_kernel(self):
         kernel = OrnsteinUhlenbeckKernel(1.0, 1.0)
         modes = solve_fredholm(kernel, tau=1.0, grid_size=150)
-        rebuilt = reconstruct_covariance(modes)
+        rebuilt = covariance(modes)
         t = modes[0].grid.nodes
         exact = kernel.at_lag(np.abs(t[:, None] - t[None, :]))
         assert np.max(np.abs(rebuilt - exact)) < 1e-6
@@ -194,13 +223,9 @@ class TestReconstruction:
     def test_truncation_shows_in_covariance(self):
         kernel = OrnsteinUhlenbeckKernel(1.0, 0.1)  # slow spectral decay
         modes = solve_fredholm(kernel, tau=1.0, grid_size=150)
-        full = reconstruct_covariance(modes)
-        truncated = reconstruct_covariance(modes[:3])
+        full = covariance(modes)
+        truncated = covariance(modes[:3])
         assert np.max(np.abs(full - truncated)) > 1e-2
-
-    def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruct_covariance([])
 
 
 class TestTransitionRates:
@@ -212,23 +237,20 @@ class TestTransitionRates:
         """
         kernel = OrnsteinUhlenbeckKernel(1.0, 10.0)
         modes = solve_fredholm(kernel, tau=1.0, grid_size=200, n_modes=4)
-        h0 = np.zeros((2, 2), dtype=complex)
-        for mode in modes:
+        rates = cumulative_rates(modes, make_model(kernel))
+        for mode, rate in zip(modes, rates):
             integral = np.sum(mode.grid.weights *
                               np.sqrt(mode.eigenvalue) * mode.values)
             expected = 2.0 * integral**2 / 1.0
-            assert transition_rate(mode, h0, SIGMA_Z, 1.0) == pytest.approx(
-                expected, abs=1e-12)
+            assert rate == pytest.approx(expected, abs=1e-12)
 
     def test_null_mode_rate_is_negligible(self):
         """sqrt(lambda) ~ 1e-8 for a numerically-null mode, so its rate can
         never compete with a live mode in the selection ranking."""
         kernel = ConstantKernel(1.0)
-        null_mode = solve_fredholm(kernel, tau=1.0, grid_size=60)[3]
-        live_rate = transition_rate(
-            solve_fredholm(kernel, tau=1.0, grid_size=60)[0],
-            SIGMA_X, SIGMA_Z, 1.0)
-        rate = transition_rate(null_mode, SIGMA_X, SIGMA_Z, 1.0)
+        modes = solve_fredholm(kernel, tau=1.0, grid_size=60)
+        live_rate, rate = cumulative_rates([modes[0], modes[3]],
+                                           make_model(kernel, h0=SIGMA_X))
         assert rate <= 1e-12 * live_rate
 
     def test_fast_drift_suppresses_even_modes(self):
@@ -240,15 +262,35 @@ class TestTransitionRates:
         """
         kernel = OrnsteinUhlenbeckKernel(1.0, 10.0)
         modes = solve_fredholm(kernel, tau=1.0, grid_size=300, n_modes=2)
-        static = transition_rate(modes[0], np.zeros((2, 2)), SIGMA_Z, 1.0)
-        driven = transition_rate(modes[0], 20 * SIGMA_X, SIGMA_Z, 1.0)
+        [static] = cumulative_rates(modes[:1], make_model(kernel))
+        [driven] = cumulative_rates(modes[:1], make_model(kernel, h0=20 * SIGMA_X))
         assert driven < 1e-2 * static
 
-    def test_rejects_bad_tau(self):
-        mode = solve_fredholm(OrnsteinUhlenbeckKernel(1.0, 1.0), tau=1.0,
-                              grid_size=50, n_modes=1)[0]
-        with pytest.raises(ValueError):
-            transition_rate(mode, SIGMA_X, SIGMA_Z, 0.0)
+    @pytest.mark.parametrize("h0,v", [
+        (SIGMA_X, SIGMA_Z),
+        (np.array([[1.0, 0.3 - 0.2j, 0.0], [0.3 + 0.2j, -0.4, 0.5j],
+                   [0.0, -0.5j, 0.2]]),
+         np.array([[0.5, 0.2 + 0.7j, -0.1j], [0.2 - 0.7j, -0.3, 0.4],
+                   [0.1j, 0.4, 0.1]])),
+    ], ids=["fig2", "qutrit"])
+    def test_rates_match_per_mode_loop(self, h0, v):
+        """The model's cached eigensystem and one phase table give bitwise
+        the rates of diagonalising h0 again for every mode."""
+        kernel = OrnsteinUhlenbeckKernel(3.0, 10.0)
+        model = make_model(kernel, h0=h0, v=v, horizon=0.8)
+        modes = solve_fredholm(kernel, tau=0.8, grid_size=400, n_modes=12)
+        grid = modes[0].grid
+        expected = [transition_rate_loop(model.h0, model.v, 0.8, m.eigenvalue,
+                                         m.values, grid.nodes, grid.weights)
+                    for m in modes]
+        assert cumulative_rates(modes, model) == expected
+
+    def test_rejects_modes_on_different_grids(self):
+        kernel = OrnsteinUhlenbeckKernel(1.0, 1.0)
+        a = solve_fredholm(kernel, tau=1.0, grid_size=50, n_modes=1)
+        b = solve_fredholm(kernel, tau=1.0, grid_size=50, n_modes=1)
+        with pytest.raises(DimensionMismatchError):
+            cumulative_rates(a + b, make_model(kernel))
 
 
 class TestSelection:
@@ -256,8 +298,7 @@ class TestSelection:
         self.kernel = OrnsteinUhlenbeckKernel(1.0, 10.0)
         self.modes = solve_fredholm(self.kernel, tau=1.0, grid_size=200,
                                     n_modes=8)
-        self.rates = cumulative_rates(self.modes, np.zeros((2, 2)), SIGMA_Z,
-                                      1.0)
+        self.rates = cumulative_rates(self.modes, make_model(self.kernel))
 
     def test_selects_top_rates(self):
         kle = select_modes(self.modes, self.rates, 3)
@@ -308,14 +349,13 @@ class TestSampling:
         exactly the truncation error."""
         kernel = OrnsteinUhlenbeckKernel(1.0, 0.1)
         modes = solve_fredholm(kernel, tau=1.0, grid_size=100, n_modes=12)
-        rates = cumulative_rates(modes, np.zeros((2, 2)), SIGMA_Z, 1.0)
+        rates = cumulative_rates(modes, make_model(kernel))
         kle = select_modes(modes, rates, 3)
 
         t_grid = modes[0].grid.nodes
         n_paths = 6000
         # two MC steps per quadrature interval: the nodes are the even steps
-        model = StochasticModel(h0=np.zeros((2, 2), dtype=complex), v=SIGMA_Z,
-                                kernel=kernel, horizon=1.0)
+        model = make_model(kernel)
         config = MCConfig(n_traj=n_paths, dt=0.5 * (t_grid[1] - t_grid[0]),
                           seed=2024, sampler="kle")
         engine = _EnsembleEngine(model, 0.5 * IDENTITY, config, t_grid,
@@ -324,7 +364,7 @@ class TestSampling:
                                    atol=1e-14)
         paths = engine.sample_paths(range(n_paths))[:, ::2]
         sample_cov = (paths.T @ paths) / n_paths
-        target = reconstruct_covariance(kle)
+        target = covariance(kle.modes)
 
         # variance of a covariance estimate: (C_ii C_jj + C_ij^2) / n
         scale = kernel.variance

@@ -15,11 +15,7 @@ from stochpce import (
 )
 from stochpce import montecarlo
 from stochpce.kle import cumulative_rates, select_modes, solve_fredholm
-from stochpce.montecarlo import (
-    propagate_trajectory,
-    sample_ou_path,
-    trajectory_rng,
-)
+from stochpce.montecarlo import sample_ou_path, trajectory_rng
 from stochpce.operators import frame_rotations
 
 RHO_PLUS_X = 0.5 * IDENTITY + 0.5 * SIGMA_X
@@ -29,6 +25,16 @@ def make_model(alpha=3.0, tau_c=10.0, h0=SIGMA_X, v=SIGMA_Z, horizon=1.0):
     return StochasticModel(h0=h0, v=v,
                            kernel=OrnsteinUhlenbeckKernel(alpha, tau_c),
                            horizon=horizon)
+
+
+def states_along(model, path, rho0):
+    """Rotating-frame state at every point of a path sampled on the uniform
+    grid linspace(0, horizon, len(path)), from the one block stepper."""
+    t_grid = np.linspace(0.0, model.horizon, path.size)
+    out = np.empty((1, path.size, model.dim, model.dim), dtype=complex)
+    montecarlo._TrajectoryStepper(model, t_grid).propagate(
+        path[None, :], rho0, np.arange(path.size), out)
+    return out[0]
 
 
 def sx_curve(model, rhos, t_grid):
@@ -55,6 +61,7 @@ class TestMCConfig:
         dict(n_traj=10, dt=0.01, seed=1, batch=0),
         dict(n_traj=10, dt=0.01, seed=1, stderr_target=0.0),
         dict(n_traj=10, dt=0.01, seed=1, workers=0),
+        dict(n_traj=10, dt=0.01, seed=1, stderr_target=float("nan")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -134,7 +141,8 @@ class TestOUSampler:
                 sample_ou_path(model.kernel, engine.t_grid,
                                trajectory_rng(12345, index)), expected)
 
-    @pytest.mark.parametrize("t_grid", [np.array([]), np.array([0.0])])
+    @pytest.mark.parametrize("t_grid", [np.array([]), np.array([0.0]),
+                                        np.linspace(0.0, -1.0, 5)])
     def test_rejects_grid_without_a_step(self, t_grid):
         kernel = OrnsteinUhlenbeckKernel(1.0, 1.0)
         with pytest.raises(ValueError):
@@ -148,7 +156,7 @@ class TestTrajectoryPropagation:
     def test_zero_path_freezes_rotating_frame(self):
         model = make_model()
         path = np.zeros(51)
-        rhos = propagate_trajectory(model, path, RHO_PLUS_X)
+        rhos = states_along(model, path, RHO_PLUS_X)
         assert rhos.shape == (51, 2, 2)
         for rho in rhos:
             np.testing.assert_allclose(rho, RHO_PLUS_X, atol=1e-12)
@@ -159,7 +167,7 @@ class TestTrajectoryPropagation:
         omega = 0.7
         model = make_model(h0=np.zeros((2, 2), dtype=complex))
         t_grid = np.linspace(0.0, 1.0, 21)
-        rhos = propagate_trajectory(model, np.full(21, omega), RHO_PLUS_X)
+        rhos = states_along(model, np.full(21, omega), RHO_PLUS_X)
         got = np.einsum("ij,tji->t", SIGMA_X, rhos).real
         np.testing.assert_allclose(got, np.cos(2 * omega * t_grid), atol=1e-12)
 
@@ -173,7 +181,7 @@ class TestTrajectoryPropagation:
         model = make_model()
         n = 2001  # dt = 5e-4
         t_grid = np.linspace(0.0, 1.0, n)
-        rhos = propagate_trajectory(model, np.full(n, omega), RHO_PLUS_X)
+        rhos = states_along(model, np.full(n, omega), RHO_PLUS_X)
         got = sx_curve(model, rhos[:: (n - 1) // 10], t_grid[:: (n - 1) // 10])
         expected = static_realization_sx(omega, t_grid[:: (n - 1) // 10])
         np.testing.assert_allclose(got, expected, atol=1e-5)
@@ -186,7 +194,7 @@ class TestTrajectoryPropagation:
         def final_sx(n_points):
             t = np.linspace(0.0, 1.0, n_points)
             path = np.sin(3.0 * t) + 0.5
-            rhos = propagate_trajectory(model, path, RHO_PLUS_X)
+            rhos = states_along(model, path, RHO_PLUS_X)
             u0 = frame_rotations(model, 1.0)
             return float(np.trace(SIGMA_X @ u0 @ rhos[-1] @ u0.conj().T).real)
 
@@ -198,7 +206,7 @@ class TestTrajectoryPropagation:
         model = make_model()
         rng = np.random.default_rng(9)
         path = sample_ou_path(model.kernel, np.linspace(0, 1, 201), rng)
-        rhos = propagate_trajectory(model, path, RHO_PLUS_X)
+        rhos = states_along(model, path, RHO_PLUS_X)
         traces = np.trace(rhos, axis1=1, axis2=2)
         np.testing.assert_allclose(traces, 1.0, atol=1e-12)
         for rho in rhos[::50]:
@@ -223,12 +231,7 @@ class TestTrajectoryPropagation:
 
     def test_rejects_short_path(self):
         with pytest.raises(ValueError):
-            propagate_trajectory(make_model(), np.array([1.0]), RHO_PLUS_X)
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            propagate_trajectory(make_model(), np.zeros(11),
-                                 np.eye(3) / 3.0)
+            montecarlo._TrajectoryStepper(make_model(), np.array([0.0]))
 
 
 class TestEnsemble:
@@ -282,7 +285,7 @@ class TestEnsemble:
         size, with either sampler."""
         model = make_model()
         modes = solve_fredholm(model.kernel, 1.0, 200, 12)
-        kle = select_modes(modes, cumulative_rates(modes, model.h0, model.v, 1.0), 3)
+        kle = select_modes(modes, cumulative_rates(modes, model), 3)
         t_out = np.linspace(0.0, 1.0, 6)
         cases = [
             dict(n_traj=90, batch=30, workers=3),
@@ -347,7 +350,7 @@ class TestEnsemble:
         (B, s) @ (s, n) product differs in the last bits on fig2."""
         model = make_model()
         modes = solve_fredholm(model.kernel, 1.0, 200, 12)
-        kle = select_modes(modes, cumulative_rates(modes, model.h0, model.v, 1.0), 3)
+        kle = select_modes(modes, cumulative_rates(modes, model), 3)
         config = MCConfig(n_traj=1000, dt=0.002, seed=12345, sampler="kle")
         engine = montecarlo._EnsembleEngine(model, RHO_PLUS_X, config,
                                             np.linspace(0.0, 1.0, 200),
@@ -363,7 +366,7 @@ class TestEnsemble:
         surrogate sampler must land on the exact sampler within noise."""
         model = make_model()
         modes = solve_fredholm(model.kernel, 1.0, 200, 12)
-        rates = cumulative_rates(modes, model.h0, model.v, 1.0)
+        rates = cumulative_rates(modes, model)
         kle = select_modes(modes, rates, 3)
         t_out = np.linspace(0.0, 1.0, 6)
 
@@ -387,6 +390,9 @@ class TestEnsemble:
             mc_average(model, RHO_PLUS_X, config, np.array([0.0, 0.1, 0.3]))
         with pytest.raises(ValueError):
             mc_average(model, RHO_PLUS_X, config, np.array([0.5, 0.6, 0.7]))
+        # a decreasing grid would make the OU factor exp(|dt|/tau_c) > 1
+        with pytest.raises(ValueError):
+            mc_average(model, RHO_PLUS_X, config, np.linspace(0.0, -1.0, 5))
         big_dt = MCConfig(n_traj=10, dt=0.5, seed=1)
         with pytest.raises(ValueError):
             mc_average(model, RHO_PLUS_X, big_dt, np.linspace(0, 1, 6))
