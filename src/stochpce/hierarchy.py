@@ -283,6 +283,8 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid times must be finite")
     if abs(t_grid[0] - state.t) > 1e-12:
         raise ValueError(f"t_grid starts at {t_grid[0]!r}, state is at {state.t!r}")
     if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):

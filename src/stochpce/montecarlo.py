@@ -3,12 +3,16 @@
 Samples noise realizations (exact discrete Ornstein-Uhlenbeck or a truncated
 Karhunen-Loeve surrogate), propagates blocks of trajectories together with
 exact piecewise unitaries in the rotating frame, and averages with running
-standard-error estimates on a tracked observable.
+standard-error estimates on a tracked observable.  A trajectory's state is
+carried in the eigenbasis of V at the current step, where a step unitary is
+a diagonal phase, so one step costs one elementwise phase and one shared
+(d*d, d*d) basis change per block.
 
 Determinism contract: trajectory k draws from a counter-based substream
 keyed by (seed, k), and both its noise path and its states are built with
-the same arithmetic in any block: the OU recursion and the stepper act
-elementwise per row, and KLE paths are per-row products.  So a path, and
+the same arithmetic in any block: the OU recursion acts elementwise per
+row, the stepper's phase is elementwise and its basis changes are per-row
+einsum products, and KLE paths are per-row products.  So a path, and
 every result, is bit-identical for a given (seed, config) regardless of
 execution order, block size or worker count.  Accumulation reduces each
 batch in a single fixed-order pairwise sum and then folds batches in index
@@ -33,9 +37,9 @@ from .operators import (
 DEFAULT_STDERR_TARGET = 5e-3
 MAX_STEP_FRACTION = 100  # dt must not exceed horizon / 100
 GRID_UNIFORMITY_TOL = 1e-9
-# Trajectories stepped together as one (B, d, d) array.  This bounds the
+# Trajectories stepped together as one (B, d*d) array.  This bounds the
 # per-block temporaries: the (B, n_steps) noise paths and step angles and
-# the (B, d, d) operands of each step.
+# the (B, d*d) operands of each step.
 BLOCK_SIZE = 128
 
 
@@ -95,6 +99,8 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _require_uniform(t_grid: np.ndarray) -> float:
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("grid times must be finite")
     steps = np.diff(t_grid)
     if steps.size == 0:
         raise ValueError("grid needs at least two points")
@@ -138,12 +144,20 @@ def sample_ou_path(kernel: OrnsteinUhlenbeckKernel, t_grid, rng) -> np.ndarray:
 
 
 class _TrajectoryStepper:
-    """Shared per-run precomputation for exact piecewise-unitary stepping.
+    """Exact piecewise-unitary stepping carried in the eigenbasis of V.
 
-    The step unitary exp(-i theta V(t_mid)) shares V's eigenvalues at every
-    time (unitary conjugation preserves spectra), so one eigendecomposition
-    of v plus the frame rotation gives every step's eigenbasis:
-    exp(-i theta V(t)) = (U0(t)^dag Q) exp(-i theta D) (U0(t)^dag Q)^dag.
+    The step unitary exp(-i theta_k V(t_mid_k)) = Q_k exp(-i theta_k D) Q_k^dag
+    shares V's eigenvalues D at every time (unitary conjugation preserves
+    spectra), and Q_k = U0(t_mid_k)^dag Q with Q the eigenvectors of v.  A
+    trajectory's state is carried as sigma_k = Q_k^dag rho_k Q_k, flattened
+    row-major to d*d entries, so step k is one elementwise phase and one
+    shared basis change:
+
+        x = sigma_k * exp(-i theta_k (D_i - D_j)),
+        sigma_{k+1} = (W_k kron conj(W_k)) vec(x),  W_k = Q_{k+1}^dag Q_k,
+
+    and the rotating-frame state after step k is (Q_k kron conj(Q_k)) vec(x).
+    The superoperators depend only on the grid and are built once per run.
     """
 
     def __init__(self, model: StochasticModel, t_grid: np.ndarray):
@@ -152,30 +166,51 @@ class _TrajectoryStepper:
         v_eigvals, v_eigvecs = np.linalg.eigh(model.v)
         u0_mid = frame_rotations(model, 0.5 * (t_grid[:-1] + t_grid[1:]))
         # columns of q_mid[k] are the eigenvectors of V(t_mid_k)
-        self.q_mid = u0_mid.conj().transpose(0, 2, 1) @ v_eigvecs
-        self.q_mid_h = self.q_mid.conj().transpose(0, 2, 1)
-        self.v_eigvals = v_eigvals
+        q_mid = u0_mid.conj().transpose(0, 2, 1) @ v_eigvecs
+        self.q_first = q_mid[0]
+        self.basis_changes = _row_superoperators(
+            q_mid[1:].conj().transpose(0, 2, 1) @ q_mid[:-1])
+        self.to_frame = _row_superoperators(q_mid)
+        self.neg_i_gaps = -1j * (v_eigvals[:, None] - v_eigvals[None, :]).ravel()
 
     def propagate(self, paths: np.ndarray, rho0: np.ndarray,
                   record_idx: np.ndarray, out: np.ndarray) -> None:
-        """Step a block of trajectories together as one (B, d, d) array.
+        """Step a block of trajectories together as one (B, d*d) array.
 
-        paths is (B, n_grid), one noise path per row; the state at grid index
-        record_idx[j] is written to out[:, j].  Every operation acts on each
-        trajectory separately, so a trajectory's states are bitwise the same
+        paths is (B, n_grid), one noise path per row; the rotating-frame
+        state at grid index record_idx[j] is written to out[:, j].  Every
+        operation acts on each row separately (elementwise products and an
+        unoptimized einsum, never a 2-D GEMM, whose bits for a row may depend
+        on the row count), so a trajectory's states are bitwise the same
         whichever block it is stepped in.
         """
-        theta = 0.5 * (paths[:, :-1] + paths[:, 1:]) * self.dt
+        n_rows, d = paths.shape[0], rho0.shape[0]
+        # theta_k = 0.5 (omega_k + omega_{k+1}) dt laid out (n_steps, B), so
+        # step k reads one contiguous row
+        theta = np.add(paths[:, :-1].T, paths[:, 1:].T, order="C")
+        theta *= 0.5
+        theta *= self.dt
         record_at = {int(step): pos for pos, step in enumerate(record_idx)}
         if 0 in record_at:
             out[:, record_at[0]] = rho0
-        rho = np.broadcast_to(rho0, (paths.shape[0],) + rho0.shape)
-        for k in range(theta.shape[1]):
-            phase = np.exp(-1j * theta[:, k, None] * self.v_eigvals)
-            u = (self.q_mid[k] * phase[:, None, :]) @ self.q_mid_h[k]
-            rho = u @ rho @ u.conj().transpose(0, 2, 1)
+        sigma0 = self.q_first.conj().T @ rho0 @ self.q_first
+        sigma = np.broadcast_to(sigma0.ravel(), (n_rows, d * d))
+        n_steps = theta.shape[0]
+        for k in range(n_steps):
+            x = sigma * np.exp(theta[k, :, None] * self.neg_i_gaps)
             if k + 1 in record_at:
-                out[:, record_at[k + 1]] = rho
+                out[:, record_at[k + 1]] = np.einsum(
+                    "bm,mn->bn", x, self.to_frame[k]).reshape(n_rows, d, d)
+            if k + 1 < n_steps:
+                sigma = np.einsum("bm,mn->bn", x, self.basis_changes[k])
+
+
+def _row_superoperators(a: np.ndarray) -> np.ndarray:
+    """(a_k kron conj(a_k))^T for a stack of (d, d) matrices: the right
+    factor that maps a row-major vec(X) to vec(a_k X a_k^dag)."""
+    n, d = a.shape[0], a.shape[1]
+    kron = a[:, :, None, :, None] * a.conj()[:, None, :, None, :]
+    return np.ascontiguousarray(kron.reshape(n, d * d, d * d).transpose(0, 2, 1))
 
 
 def _resolve_step_grid(model: StochasticModel, config: MCConfig,

@@ -153,7 +153,7 @@ def ou_path_lfilter(alpha: float, tau_c: float, t_grid, rng) -> np.ndarray:
 
 def trajectory_states_loop(h0, v, t_grid, path, rho0, record_idx) -> np.ndarray:
     """Rotating-frame states of one noise path, stepped one (d, d) unitary at
-    a time: the Monte Carlo solver's arithmetic with no batching.
+    a time in the rotating frame itself, with no change of basis.
 
     Step k applies u_k = (Q_k exp(-i theta_k D)) Q_k^dag, where D and Q are
     the eigenvalues and eigenvectors of v, Q_k = U0(t_mid_k)^dag Q with U0
@@ -316,23 +316,26 @@ class ConstantKernel:
 # ---------------------------------------------------------------------------
 
 def hermite_moment_tables(p_max: int, n_nodes: int = 40):
-    """Q0[a,b] = E[He_a He_b]/E[He_a^2] and Q1[a,b] = E[He_a xi He_b]/E[He_a^2].
+    """Q0[a,b] = E[psi_a psi_b] and Q1[a,b] = E[psi_a xi psi_b] for the
+    orthonormal Hermite polynomials psi_a = He_a / sqrt(a!).
 
-    Probabilists' Hermite polynomials under the standard normal weight,
-    integrated by Gauss-Hermite quadrature exact for the polynomial degrees
-    involved (degree <= 2 p_max + 1 << 2 n_nodes - 1).
+    psi is evaluated at the Gauss-Hermite nodes by the orthonormal
+    three-term recurrence psi_{a+1} = (xi psi_a - sqrt(a) psi_{a-1})
+    / sqrt(a+1), so every value and every table entry is O(1), and the
+    quadrature is exact for the polynomial degrees involved
+    (degree <= 2 p_max + 1 << 2 n_nodes - 1).
     """
     nodes, weights = roots_hermitenorm(n_nodes)
     weights = weights / weights.sum()
-    vals = np.empty((p_max + 1, n_nodes))
-    for deg in range(p_max + 1):
-        coef = np.zeros(deg + 1)
-        coef[deg] = 1.0
-        vals[deg] = np.polynomial.hermite_e.hermeval(nodes, coef)
-    norms = np.array([float(math.factorial(deg))
-                      for deg in range(p_max + 1)])
-    q0 = (vals * weights) @ vals.T / norms[:, None]
-    q1 = (vals * (weights * nodes)) @ vals.T / norms[:, None]
+    psi = np.empty((p_max + 1, n_nodes))
+    psi[0] = 1.0
+    if p_max >= 1:
+        psi[1] = nodes
+    for deg in range(1, p_max):
+        psi[deg + 1] = ((nodes * psi[deg] - math.sqrt(deg) * psi[deg - 1])
+                        / math.sqrt(deg + 1))
+    q0 = (psi * weights) @ psi.T
+    q1 = (psi * (weights * nodes)) @ psi.T
     return q0, q1
 
 
@@ -348,9 +351,12 @@ def coupling_weights(couplings) -> dict:
 
 
 def galerkin_weight_quadrature(m, mode_j: int, l, q0, q1) -> float:
-    """E[Phi_m xi_j Phi_l] / E[Phi_m^2] for multivariate Hermite products.
+    """E[Phi_m xi_j Phi_l] / E[Phi_m^2] for multivariate Hermite products,
+    from the orthonormal tables of hermite_moment_tables.
 
-    Independence factorizes the expectation into one 1-D moment per variable.
+    Independence factorizes the expectation into one 1-D moment per
+    variable; with He_a = sqrt(a!) psi_a each factor is
+    table[m_i, l_i] sqrt(l_i! / m_i!).
     """
     out = 1.0
     for j, (mj, lj) in enumerate(zip(m, l)):
@@ -358,4 +364,6 @@ def galerkin_weight_quadrature(m, mode_j: int, l, q0, q1) -> float:
         out *= table[mj, lj]
         if out == 0.0:
             return 0.0
-    return float(out)
+    ratio = math.prod(math.factorial(lj) for lj in l) / math.prod(
+        math.factorial(mj) for mj in m)
+    return float(out * math.sqrt(ratio))

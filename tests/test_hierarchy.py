@@ -216,9 +216,11 @@ class TestWeightedSets:
         omitted zeros included, against Gauss-Hermite quadrature.
 
         Both sides are compared in the orthonormal scaling, times
-        sqrt(E[Phi_m^2] / E[Phi_l^2]): at degree 27 the raw moments span
-        sqrt(27!) ~ 1e14, so a quadrature zero carries a rounding error of
-        up to 0.06 in the raw scaling and about 1e-16 in this one."""
+        sqrt(E[Phi_m^2] / E[Phi_l^2]).  The tables are orthonormal and
+        accurate to ~1e-12, but a raw weight between degrees 0 and 27
+        multiplies a table entry by sqrt(27!) ~ 1e14, so a quadrature zero
+        carries a rounding error of up to 0.09 in the raw scaling and
+        about 5e-13 in this one."""
         basis = weighted_set((1, 3, 6), 27)
         q0, q1 = hermite_moment_tables(basis.p + 1)
         stored = coupling_weights(build_couplings(basis))
@@ -362,6 +364,12 @@ class TestPropagateValidation:
         with pytest.raises(ValueError):
             propagate(self.state, self.model, self.kle, self.couplings,
                       [0.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("t_grid", [[0.0, np.nan], [0.0, np.inf],
+                                        [0.0, 0.5, np.nan]])
+    def test_grid_must_be_finite(self, t_grid):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(self.state, self.model, self.kle, self.couplings, t_grid)
 
     def test_dt_max_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,31 @@ def sx_curve(model, rhos, t_grid):
     return out
 
 
+# A qutrit whose h0 and v are complex, non-diagonal and do not commute.
+H0_3 = np.array([[1.0, 0.3 - 0.2j, 0.0],
+                 [0.3 + 0.2j, -0.4, 0.5j],
+                 [0.0, -0.5j, 0.2]])
+V_3 = np.array([[0.5, 0.2 + 0.7j, -0.1j],
+                [0.2 - 0.7j, -0.3, 0.4],
+                [0.1j, 0.4, 0.1]])
+RHO_3 = np.array([[0.5, 0.2, 0.1j],
+                  [0.2, 0.3, 0.0],
+                  [-0.1j, 0.0, 0.2]])
+
+
+def stepper_case(name, n_paths):
+    """Model, initial state, 301-point grid, every third index recorded, and
+    n_paths exact-OU paths from the seed-12345 substreams."""
+    if name == "fig2":
+        model, rho0 = make_model(), RHO_PLUS_X
+    else:
+        model, rho0 = make_model(alpha=2.0, tau_c=1.0, h0=H0_3, v=V_3), RHO_3
+    t_grid = np.linspace(0.0, 1.0, 301)
+    rngs = [trajectory_rng(12345, i) for i in range(n_paths)]
+    paths = montecarlo.sample_ou_paths(model.kernel, t_grid, rngs)
+    return model, rho0, t_grid, np.arange(0, 301, 3), paths
+
+
 class TestMCConfig:
     def test_accepts_reasonable_values(self):
         config = MCConfig(n_traj=100, dt=0.01, seed=7)
@@ -142,7 +167,9 @@ class TestOUSampler:
                                trajectory_rng(12345, index)), expected)
 
     @pytest.mark.parametrize("t_grid", [np.array([]), np.array([0.0]),
-                                        np.linspace(0.0, -1.0, 5)])
+                                        np.linspace(0.0, -1.0, 5),
+                                        np.array([0.0, np.inf]),
+                                        np.array([0.0, np.nan])])
     def test_rejects_grid_without_a_step(self, t_grid):
         kernel = OrnsteinUhlenbeckKernel(1.0, 1.0)
         with pytest.raises(ValueError):
@@ -212,22 +239,38 @@ class TestTrajectoryPropagation:
         for rho in rhos[::50]:
             assert np.linalg.eigvalsh(rho).min() > -1e-12
 
-    def test_block_stepper_matches_per_trajectory_loop(self):
-        """Paths stepped together as one block give bitwise the states of the
-        one-trajectory-at-a-time loop (fig2 model: h0 does not commute with v)."""
-        model = make_model()
-        t_grid = np.linspace(0.0, 1.0, 301)
-        record_idx = np.arange(0, 301, 3)
-        paths = np.stack([sample_ou_path(model.kernel, t_grid, trajectory_rng(12345, i))
-                          for i in range(4)])
-        out = np.empty((4, record_idx.size, 2, 2), dtype=complex)
-        montecarlo._TrajectoryStepper(model, t_grid).propagate(
-            paths, RHO_PLUS_X, record_idx, out)
-        assert not np.array_equal(out[0, -1], out[1, -1])
+    @pytest.mark.parametrize("block", [1, 7, montecarlo.BLOCK_SIZE])
+    @pytest.mark.parametrize("name", ["fig2", "qutrit"])
+    def test_block_rows_match_single_row_runs(self, name, block):
+        """A row of a block gets bitwise the states of the same stepper run
+        on that row alone, so a trajectory does not depend on its block."""
+        model, rho0, t_grid, record_idx, paths = stepper_case(name, block)
+        stepper = montecarlo._TrajectoryStepper(model, t_grid)
+        d = model.dim
+        out = np.empty((block, record_idx.size, d, d), dtype=complex)
+        stepper.propagate(paths, rho0, record_idx, out)
+        if block > 1:
+            assert not np.array_equal(out[0, -1], out[1, -1])
         for row, path in enumerate(paths):
-            np.testing.assert_array_equal(
-                out[row], trajectory_states_loop(model.h0, model.v, t_grid, path,
-                                                 RHO_PLUS_X, record_idx))
+            alone = np.empty((1, record_idx.size, d, d), dtype=complex)
+            stepper.propagate(path[None, :], rho0, record_idx, alone)
+            np.testing.assert_array_equal(out[row], alone[0])
+
+    def test_block_stepper_matches_per_trajectory_loop(self):
+        """The eigenbasis stepper agrees with the one-unitary-at-a-time loop
+        to 1e-13 on fig2 and on a qutrit whose h0 does not commute with v
+        (the two differ in the order of their round-off only)."""
+        for name in ("fig2", "qutrit"):
+            model, rho0, t_grid, record_idx, paths = stepper_case(name, 4)
+            out = np.empty((4, record_idx.size, model.dim, model.dim),
+                           dtype=complex)
+            montecarlo._TrajectoryStepper(model, t_grid).propagate(
+                paths, rho0, record_idx, out)
+            for row, path in enumerate(paths):
+                expected = trajectory_states_loop(model.h0, model.v, t_grid,
+                                                  path, rho0, record_idx)
+                np.testing.assert_allclose(out[row], expected, rtol=0,
+                                           atol=1e-13, err_msg=name)
 
     def test_rejects_short_path(self):
         with pytest.raises(ValueError):
@@ -393,6 +436,9 @@ class TestEnsemble:
         # a decreasing grid would make the OU factor exp(|dt|/tau_c) > 1
         with pytest.raises(ValueError):
             mc_average(model, RHO_PLUS_X, config, np.linspace(0.0, -1.0, 5))
+        for bad in ([0.0, np.inf], [0.0, np.nan], [0.0, 0.5, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                mc_average(model, RHO_PLUS_X, config, np.array(bad))
         big_dt = MCConfig(n_traj=10, dt=0.5, seed=1)
         with pytest.raises(ValueError):
             mc_average(model, RHO_PLUS_X, big_dt, np.linspace(0, 1, 6))
