@@ -79,8 +79,8 @@ def _header(config: RunConfig, command: str) -> list[str]:
     lines = [f"stochpce {__version__}",
              f"command: {command}",
              f"seed: {config.mc.seed}",
-             "frame: outputs are Schrodinger-frame; propagation runs in the "
-             "H0 rotating frame and is back-transformed before reporting",
+             "frame: outputs are Schrodinger-frame; the hierarchy integrates in "
+             "the H0 rotating frame and is back-transformed before reporting",
              "config:"]
     lines += [f"  {line}" for line in emit_config(config).splitlines()]
     return lines

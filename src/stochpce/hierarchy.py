@@ -202,11 +202,7 @@ def weighted_norm(state: PCEState) -> float:
     conserves exactly: the couplings are symmetric in the Hermite inner
     product and the commutator with V is anti-Hermitian."""
     flat = state.coefficients.reshape(state.basis.size, -1)
-    return _weighted_norm(flat, state.basis.weight_norms)
-
-
-def _weighted_norm(flat: np.ndarray, weights: np.ndarray) -> float:
-    return float(weights @ np.sum(np.abs(flat) ** 2, axis=1))
+    return float(state.basis.weight_norms @ np.sum(np.abs(flat) ** 2, axis=1))
 
 
 def _rhs(lt: np.ndarray, s_vec: np.ndarray, flat: np.ndarray,
@@ -296,12 +292,11 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
 
     n_basis, d = state.basis.size, state.dim
     stacked = sparse.hstack(couplings.mode_matrices, format="csr")
-    weights = state.basis.weight_norms
     y = state.coefficients.reshape(n_basis, d * d).astype(complex)
     out = [PCEState(coefficients=state.coefficients, t=float(t_grid[0]),
                     basis=state.basis)]
     _check_invariants(out[0])
-    norm0 = _weighted_norm(y, weights)
+    norm0 = weighted_norm(out[0])
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
         span = t1 - t0
         steps = max(1, int(np.ceil(span / dt_max - 1e-12)))
@@ -318,7 +313,7 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
         recorded = PCEState(coefficients=y.reshape(n_basis, d, d), t=float(t1),
                             basis=state.basis)
         _check_invariants(recorded)
-        _check_weighted_norm(_weighted_norm(y, weights), norm0, recorded.t)
+        _check_weighted_norm(weighted_norm(recorded), norm0, recorded.t)
         out.append(recorded)
     return out
 

@@ -2,17 +2,18 @@
 
 Samples noise realizations (exact discrete Ornstein-Uhlenbeck or a truncated
 Karhunen-Loeve surrogate), propagates blocks of trajectories together with
-exact piecewise unitaries in the rotating frame, and averages with running
-standard-error estimates on a tracked observable.  A trajectory's state is
-carried in the eigenbasis of V at the current step, where a step unitary is
-a diagonal phase, so one step costs one elementwise phase and one shared
-(d*d, d*d) basis change per block.
+exact piecewise unitaries in the Schrodinger frame, and averages with running
+standard-error estimates on a tracked observable.  Each step is a Strang
+splitting: a half step of the drift h0, a noise kick that is diagonal in the
+eigenbasis of v, and another half step of the drift.  On the uniform grid
+these are the same matrices at every step, so one step costs one elementwise
+phase and one constant (d*d, d*d) basis change per block.
 
 Determinism contract: trajectory k draws from a counter-based substream
 keyed by (seed, k), and both its noise path and its states are built with
 the same arithmetic in any block: the OU recursion acts elementwise per
-row, the stepper's phase is elementwise and its basis changes are per-row
-einsum products, and KLE paths are per-row products.  So a path, and
+row, the stepper's phase is elementwise and its basis change is a per-row
+einsum product, and KLE paths are per-row products.  So a path, and
 every result, is bit-identical for a given (seed, config) regardless of
 execution order, block size or worker count.  Accumulation reduces each
 batch in a single fixed-order pairwise sum and then folds batches in index
@@ -119,9 +120,9 @@ def sample_ou_paths(kernel: OrnsteinUhlenbeckKernel, t_grid, rngs) -> np.ndarray
     + alpha sqrt(1 - r^2) z_k with r = exp(-dt / tau_c).  The discrete path
     has exactly the continuous process's marginals and covariance at grid
     times, so Monte Carlo carries no SDE discretization bias.  Row b draws
-    its start and then its innovations from rngs[b]; the recursion advances
-    all rows one grid step at a time, so a row does not depend on the block.
-    Returns a (len(rngs), n_grid) array.
+    its start and its innovations from rngs[b] in one call; the recursion
+    advances all rows one grid step at a time, so a row does not depend on
+    the block.  Returns a (len(rngs), n_grid) array.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _require_uniform(t_grid)
@@ -131,8 +132,9 @@ def sample_ou_paths(kernel: OrnsteinUhlenbeckKernel, t_grid, rngs) -> np.ndarray
     # column b holds path b, so each recursion step updates one contiguous row
     paths = np.empty((t_grid.size, len(rngs)))
     for b, rng in enumerate(rngs):
-        paths[0, b] = alpha * rng.standard_normal()
-        paths[1:, b] = scale * rng.standard_normal(t_grid.size - 1)
+        paths[:, b] = rng.standard_normal(t_grid.size)
+    paths[0] *= alpha
+    paths[1:] *= scale
     for k in range(1, t_grid.size):
         paths[k] += r * paths[k - 1]
     return paths.T
@@ -144,40 +146,42 @@ def sample_ou_path(kernel: OrnsteinUhlenbeckKernel, t_grid, rng) -> np.ndarray:
 
 
 class _TrajectoryStepper:
-    """Exact piecewise-unitary stepping carried in the eigenbasis of V.
+    """Exact piecewise-unitary stepping as a Strang splitting.
 
-    The step unitary exp(-i theta_k V(t_mid_k)) = Q_k exp(-i theta_k D) Q_k^dag
-    shares V's eigenvalues D at every time (unitary conjugation preserves
-    spectra), and Q_k = U0(t_mid_k)^dag Q with Q the eigenvectors of v.  A
-    trajectory's state is carried as sigma_k = Q_k^dag rho_k Q_k, flattened
-    row-major to d*d entries, so step k is one elementwise phase and one
-    shared basis change:
+    Step k applies U0(dt/2) exp(-i theta_k v) U0(dt/2), the exact step
+    unitary of the rotating-frame midpoint rule carried to the Schrodinger
+    frame.  With v = Q D Q^dag and H = U0(dt/2), a trajectory is carried as
+    sigma_k = B rho_k B^dag, B = Q^dag H, flattened row-major to d*d entries,
+    so step k is one elementwise phase and one basis change:
 
         x = sigma_k * exp(-i theta_k (D_i - D_j)),
-        sigma_{k+1} = (W_k kron conj(W_k)) vec(x),  W_k = Q_{k+1}^dag Q_k,
+        sigma_{k+1} = (W kron conj(W)) vec(x),  W = B A,
 
-    and the rotating-frame state after step k is (Q_k kron conj(Q_k)) vec(x).
-    The superoperators depend only on the grid and are built once per run.
+    and the state after step k is rho_{k+1} = (A kron conj(A)) vec(x) with
+    A = H Q.  The grid is uniform, so W and A are the same at every step and
+    the stepper keeps two (d*d, d*d) superoperators whatever the grid length.
     """
 
     def __init__(self, model: StochasticModel, t_grid: np.ndarray):
-        t_grid = np.asarray(t_grid, dtype=float)
-        self.dt = _require_uniform(t_grid)
+        self.dt = _require_uniform(np.asarray(t_grid, dtype=float))
         v_eigvals, v_eigvecs = np.linalg.eigh(model.v)
-        u0_mid = frame_rotations(model, 0.5 * (t_grid[:-1] + t_grid[1:]))
-        # columns of q_mid[k] are the eigenvectors of V(t_mid_k)
-        q_mid = u0_mid.conj().transpose(0, 2, 1) @ v_eigvecs
-        self.q_first = q_mid[0]
-        self.basis_changes = _row_superoperators(
-            q_mid[1:].conj().transpose(0, 2, 1) @ q_mid[:-1])
-        self.to_frame = _row_superoperators(q_mid)
+        half_drift = frame_rotations(model, 0.5 * self.dt)
+        self.to_sigma = v_eigvecs.conj().T @ half_drift
+        to_state = half_drift @ v_eigvecs
+
+        def right_factor(a):
+            # maps a row-major vec(X), as a row, to vec(a X a^dag)
+            return np.ascontiguousarray(np.kron(a, a.conj()).T)
+
+        self.basis_change = right_factor(self.to_sigma @ to_state)
+        self.record_map = right_factor(to_state)
         self.neg_i_gaps = -1j * (v_eigvals[:, None] - v_eigvals[None, :]).ravel()
 
     def propagate(self, paths: np.ndarray, rho0: np.ndarray,
                   record_idx: np.ndarray, out: np.ndarray) -> None:
         """Step a block of trajectories together as one (B, d*d) array.
 
-        paths is (B, n_grid), one noise path per row; the rotating-frame
+        paths is (B, n_grid), one noise path per row; the Schrodinger-frame
         state at grid index record_idx[j] is written to out[:, j].  Every
         operation acts on each row separately (elementwise products and an
         unoptimized einsum, never a 2-D GEMM, whose bits for a row may depend
@@ -193,24 +197,16 @@ class _TrajectoryStepper:
         record_at = {int(step): pos for pos, step in enumerate(record_idx)}
         if 0 in record_at:
             out[:, record_at[0]] = rho0
-        sigma0 = self.q_first.conj().T @ rho0 @ self.q_first
+        sigma0 = self.to_sigma @ rho0 @ self.to_sigma.conj().T
         sigma = np.broadcast_to(sigma0.ravel(), (n_rows, d * d))
         n_steps = theta.shape[0]
         for k in range(n_steps):
             x = sigma * np.exp(theta[k, :, None] * self.neg_i_gaps)
             if k + 1 in record_at:
                 out[:, record_at[k + 1]] = np.einsum(
-                    "bm,mn->bn", x, self.to_frame[k]).reshape(n_rows, d, d)
+                    "bm,mn->bn", x, self.record_map).reshape(n_rows, d, d)
             if k + 1 < n_steps:
-                sigma = np.einsum("bm,mn->bn", x, self.basis_changes[k])
-
-
-def _row_superoperators(a: np.ndarray) -> np.ndarray:
-    """(a_k kron conj(a_k))^T for a stack of (d, d) matrices: the right
-    factor that maps a row-major vec(X) to vec(a_k X a_k^dag)."""
-    n, d = a.shape[0], a.shape[1]
-    kron = a[:, :, None, :, None] * a.conj()[:, None, :, None, :]
-    return np.ascontiguousarray(kron.reshape(n, d * d, d * d).transpose(0, 2, 1))
+                sigma = np.einsum("bm,mn->bn", x, self.basis_change)
 
 
 def _resolve_step_grid(model: StochasticModel, config: MCConfig,
@@ -240,10 +236,7 @@ class _EnsembleEngine:
         self.rho0 = rho0
         self.t_grid, self.record_idx = _resolve_step_grid(model, config, t_out)
         self.stepper = _TrajectoryStepper(model, self.t_grid)
-        self.u0_out = frame_rotations(model, self.t_grid[self.record_idx])
-        # rotated observable per output time: tr(A U0 rho U0^dag) = tr(A_rot rho)
-        self.obs_rot = (self.u0_out.conj().transpose(0, 2, 1) @ observable
-                        @ self.u0_out)
+        self.observable = observable
         if config.sampler == "kle":
             if kle is None:
                 raise ValueError("sampler 'kle' needs a TruncatedKLE")
@@ -271,7 +264,7 @@ class _EnsembleEngine:
         paths = self.sample_paths(indices)
         self.stepper.propagate(paths, self.rho0, self.record_idx, rho_out)
         for rhos, obs in zip(rho_out, obs_out):
-            obs[:] = np.einsum("tij,tji->t", self.obs_rot, rhos).real
+            obs[:] = np.einsum("ij,tji->t", self.observable, rhos).real
 
 
 def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
@@ -280,8 +273,8 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
 
     Runs trajectories in batches of config.batch; after each batch the
     max-over-time standard error of the observable is tested against
-    config.stderr_target and the run stops early once it is met.  Reported
-    mean states are back-transformed to the Schrodinger frame.  The result is
+    config.stderr_target and the run stops early once it is met.  Mean states
+    are in the Schrodinger frame, like the stepper's.  The result is
     a pure function of (model, rho0, config, t_grid, observable): worker
     threads only split a batch into blocks, never reorder the reduction.
     """
@@ -334,11 +327,10 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
         if executor is not None:
             executor.shutdown()
 
-    mean_rot = sum_rho / n_used
-    mean_rho = engine.u0_out @ mean_rot @ engine.u0_out.conj().transpose(0, 2, 1)
-    stderr = _stderr(sum_obs, sum_obs_sq, n_used) if n_used >= 2 else np.zeros(n_out)
-    return MCEnsemble(times=engine.t_grid[engine.record_idx], mean_rho=mean_rho,
-                      stderr_obs=stderr, n_used=n_used, converged=converged)
+    return MCEnsemble(times=engine.t_grid[engine.record_idx],
+                      mean_rho=sum_rho / n_used,
+                      stderr_obs=_stderr(sum_obs, sum_obs_sq, n_used),
+                      n_used=n_used, converged=converged)
 
 
 def _stderr(sum_obs: np.ndarray, sum_obs_sq: np.ndarray, n: int) -> np.ndarray:

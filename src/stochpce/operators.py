@@ -44,11 +44,12 @@ def as_operator(a) -> np.ndarray:
     return a
 
 
-def check_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def check_hermitian(a) -> np.ndarray:
     a = as_operator(a)
     dev = np.max(np.abs(a - a.conj().T))
-    if not (dev <= tol):
-        raise InvalidOperatorError(f"operator not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
+    if not (dev <= HERMITIAN_TOL):
+        raise InvalidOperatorError(
+            f"operator not Hermitian: max deviation {dev:.3e} > {HERMITIAN_TOL:.1e}")
     return a
 
 
@@ -57,8 +58,7 @@ def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def validate_density_matrix(rho, trace_tol: float = TRACE_TOL,
-                            herm_tol: float = HERMITIAN_TOL) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check trace one, Hermiticity, and (diagnostically) positivity.
 
     Positivity is a diagnostic: eigenvalues below -1e-9 raise, tiny negative
@@ -66,10 +66,10 @@ def validate_density_matrix(rho, trace_tol: float = TRACE_TOL,
     with looser tolerances since the truncated hierarchy does not guarantee
     positivity.
     """
-    rho = check_hermitian(rho, herm_tol)
+    rho = check_hermitian(rho)
     tr = np.trace(rho)
-    if not (abs(tr.real - 1.0) <= trace_tol):
-        raise InvalidOperatorError(f"density matrix trace {tr.real!r} not 1 within {trace_tol:.1e}")
+    if not (abs(tr.real - 1.0) <= TRACE_TOL):
+        raise InvalidOperatorError(f"density matrix trace {tr.real!r} not 1 within {TRACE_TOL:.1e}")
     if not (abs(tr.imag) <= TRACE_IMAG_TOL):
         raise InvalidOperatorError(f"density matrix trace has imaginary part {tr.imag:.3e}")
     eigs = np.linalg.eigvalsh(rho)
@@ -119,12 +119,14 @@ class StochasticModel:
 def frame_rotations(model: StochasticModel, times) -> np.ndarray:
     """U0(t) = exp(-i h0 t) at every time, shape times.shape + (d, d).
 
-    A scalar t gives one (d, d) unitary, an array of T times a (T, d, d)
-    stack; each entry is bitwise the same as its scalar call.
+    Built as I + Q (exp(-i E t) - 1) Q^dag from h0's eigensystem, so U0(0) is
+    exactly the identity.  A scalar t gives one (d, d) unitary, an array of
+    T times a (T, d, d) stack; each entry is bitwise the same as its scalar
+    call.
     """
     energies, states = model.h0_eigensystem()
-    phases = np.exp(-1j * np.multiply.outer(times, energies))
-    return (states * phases[..., None, :]) @ states.conj().T
+    phases = np.exp(-1j * np.multiply.outer(times, energies)) - 1.0
+    return np.eye(model.dim) + (states * phases[..., None, :]) @ states.conj().T
 
 
 def rotating_frame_potential(model: StochasticModel, t) -> np.ndarray:

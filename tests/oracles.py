@@ -155,22 +155,26 @@ def trajectory_states_loop(h0, v, t_grid, path, rho0, record_idx) -> np.ndarray:
     """Rotating-frame states of one noise path, stepped one (d, d) unitary at
     a time in the rotating frame itself, with no change of basis.
 
-    Step k applies u_k = (Q_k exp(-i theta_k D)) Q_k^dag, where D and Q are
-    the eigenvalues and eigenvectors of v, Q_k = U0(t_mid_k)^dag Q with U0
-    built from eigh(h0), and theta_k = dt (path[k] + path[k+1]) / 2.  Returns
-    the states at the grid indices record_idx.
+    Step k applies u_k = I + Q_k (exp(-i theta_k D) - 1) Q_k^dag, where D
+    and Q are the eigenvalues and eigenvectors of v, Q_k = U0(t_mid_k)^dag Q
+    with U0(t) = I + P (exp(-i E t) - 1) P^dag from eigh(h0) = (E, P), and
+    theta_k = dt (path[k] + path[k+1]) / 2.  Both unitaries are written as
+    I plus a correction so that the round-off in the eigenvectors'
+    orthonormality scales the correction only, rather than every state once
+    per step.  Returns the states at the grid indices record_idx.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dt = float(t_grid[1] - t_grid[0])
+    d = rho0.shape[0]
+    eye = np.eye(d)
     v_eigvals, v_eigvecs = np.linalg.eigh(v)
     energies, states = np.linalg.eigh(h0)
     mids = 0.5 * (t_grid[:-1] + t_grid[1:])
-    phases = np.exp(-1j * np.outer(mids, energies))
-    u0_mid = (states[None, :, :] * phases[:, None, :]) @ states.conj().T
+    phases = np.exp(-1j * np.outer(mids, energies)) - 1.0
+    u0_mid = eye + (states[None, :, :] * phases[:, None, :]) @ states.conj().T
     q_mid = u0_mid.conj().transpose(0, 2, 1) @ v_eigvecs
     q_mid_h = q_mid.conj().transpose(0, 2, 1)
 
-    d = rho0.shape[0]
     out = np.empty((record_idx.size, d, d), dtype=complex)
     record_pos = 0
     if record_idx[0] == 0:
@@ -180,8 +184,8 @@ def trajectory_states_loop(h0, v, t_grid, path, rho0, record_idx) -> np.ndarray:
     omega_mid = 0.5 * (path[:-1] + path[1:])
     for k in range(path.size - 1):
         theta = omega_mid[k] * dt
-        phase = np.exp(-1j * theta * v_eigvals)
-        u = (q_mid[k] * phase) @ q_mid_h[k]
+        phase = np.exp(-1j * theta * v_eigvals) - 1.0
+        u = eye + (q_mid[k] * phase) @ q_mid_h[k]
         rho = u @ rho @ u.conj().T
         if record_pos < record_idx.size and record_idx[record_pos] == k + 1:
             out[record_pos] = rho

@@ -14,11 +14,13 @@ from stochpce import (
     mc_average,
 )
 from stochpce import montecarlo
+from stochpce.hierarchy import enumerate_indices, initial_pce_state, mean_state
 from stochpce.kle import cumulative_rates, select_modes, solve_fredholm
 from stochpce.montecarlo import sample_ou_path, trajectory_rng
 from stochpce.operators import frame_rotations
 
 RHO_PLUS_X = 0.5 * IDENTITY + 0.5 * SIGMA_X
+RHO_PLUS_Z = 0.5 * IDENTITY + 0.5 * SIGMA_Z
 
 
 def make_model(alpha=3.0, tau_c=10.0, h0=SIGMA_X, v=SIGMA_Z, horizon=1.0):
@@ -28,8 +30,8 @@ def make_model(alpha=3.0, tau_c=10.0, h0=SIGMA_X, v=SIGMA_Z, horizon=1.0):
 
 
 def states_along(model, path, rho0):
-    """Rotating-frame state at every point of a path sampled on the uniform
-    grid linspace(0, horizon, len(path)), from the one block stepper."""
+    """Schrodinger-frame state at every point of a path sampled on the
+    uniform grid linspace(0, horizon, len(path)), from the one block stepper."""
     t_grid = np.linspace(0.0, model.horizon, path.size)
     out = np.empty((1, path.size, model.dim, model.dim), dtype=complex)
     montecarlo._TrajectoryStepper(model, t_grid).propagate(
@@ -37,12 +39,9 @@ def states_along(model, path, rho0):
     return out[0]
 
 
-def sx_curve(model, rhos, t_grid):
-    """Schrodinger-frame <sigma_x> from rotating-frame states."""
-    out = np.empty(len(t_grid))
-    for k, u0 in enumerate(frame_rotations(model, np.asarray(t_grid))):
-        out[k] = np.trace(SIGMA_X @ u0 @ rhos[k] @ u0.conj().T).real
-    return out
+def sx_curve(rhos):
+    """<sigma_x> of each Schrodinger-frame state."""
+    return np.einsum("ij,tji->t", SIGMA_X, rhos).real
 
 
 # A qutrit whose h0 and v are complex, non-diagonal and do not commute.
@@ -180,13 +179,17 @@ class TestOUSampler:
 
 
 class TestTrajectoryPropagation:
-    def test_zero_path_freezes_rotating_frame(self):
+    def test_zero_path_gives_bare_drift(self):
+        """A zero path leaves only h0: rho(t) = U0(t) rho0 U0(t)^dag, with a
+        rho0 that does not commute with h0 = sigma_x, so it moves."""
         model = make_model()
-        path = np.zeros(51)
-        rhos = states_along(model, path, RHO_PLUS_X)
+        t_grid = np.linspace(0.0, 1.0, 51)
+        rhos = states_along(model, np.zeros(51), RHO_PLUS_Z)
         assert rhos.shape == (51, 2, 2)
-        for rho in rhos:
-            np.testing.assert_allclose(rho, RHO_PLUS_X, atol=1e-12)
+        u0 = frame_rotations(model, t_grid)
+        expected = u0 @ RHO_PLUS_Z @ u0.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(expected[-1] - RHO_PLUS_Z)) > 0.1
+        np.testing.assert_allclose(rhos, expected, rtol=0, atol=1e-12)
 
     def test_constant_path_pure_dephasing_is_exact(self):
         """With h0 = 0 each step unitary is exact, so a constant path gives
@@ -195,13 +198,13 @@ class TestTrajectoryPropagation:
         model = make_model(h0=np.zeros((2, 2), dtype=complex))
         t_grid = np.linspace(0.0, 1.0, 21)
         rhos = states_along(model, np.full(21, omega), RHO_PLUS_X)
-        got = np.einsum("ij,tji->t", SIGMA_X, rhos).real
+        got = sx_curve(rhos)
         np.testing.assert_allclose(got, np.cos(2 * omega * t_grid), atol=1e-12)
 
     def test_constant_path_matches_rabi_formula(self):
         """Frozen noise against the closed-form Bloch answer.
 
-        Regression guard for the rotating-frame propagator (nondiagonal h0),
+        Regression guard for the drift half steps (nondiagonal h0),
         independent of every other solver in the package.
         """
         omega = 0.5
@@ -209,7 +212,7 @@ class TestTrajectoryPropagation:
         n = 2001  # dt = 5e-4
         t_grid = np.linspace(0.0, 1.0, n)
         rhos = states_along(model, np.full(n, omega), RHO_PLUS_X)
-        got = sx_curve(model, rhos[:: (n - 1) // 10], t_grid[:: (n - 1) // 10])
+        got = sx_curve(rhos[:: (n - 1) // 10])
         expected = static_realization_sx(omega, t_grid[:: (n - 1) // 10])
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
@@ -221,9 +224,7 @@ class TestTrajectoryPropagation:
         def final_sx(n_points):
             t = np.linspace(0.0, 1.0, n_points)
             path = np.sin(3.0 * t) + 0.5
-            rhos = states_along(model, path, RHO_PLUS_X)
-            u0 = frame_rotations(model, 1.0)
-            return float(np.trace(SIGMA_X @ u0 @ rhos[-1] @ u0.conj().T).real)
+            return float(sx_curve(states_along(model, path, RHO_PLUS_X))[-1])
 
         f1, f2, f4 = final_sx(101), final_sx(201), final_sx(401)
         ratio = abs(f1 - f2) / abs(f2 - f4)
@@ -257,18 +258,23 @@ class TestTrajectoryPropagation:
             np.testing.assert_array_equal(out[row], alone[0])
 
     def test_block_stepper_matches_per_trajectory_loop(self):
-        """The eigenbasis stepper agrees with the one-unitary-at-a-time loop
-        to 1e-13 on fig2 and on a qutrit whose h0 does not commute with v
-        (the two differ in the order of their round-off only)."""
+        """The Strang-split stepper agrees with the one-unitary-at-a-time
+        rotating-frame loop, carried to the Schrodinger frame by U0 at the
+        record times, on fig2 and on a qutrit whose h0 does not commute
+        with v.  Against a 30-digit run of the same scheme the loop is off
+        by 1.3e-15 (fig2) and 1.2e-15 (qutrit) after 300 steps and the
+        stepper by 8.8e-15 and 2.5e-14."""
         for name in ("fig2", "qutrit"):
             model, rho0, t_grid, record_idx, paths = stepper_case(name, 4)
             out = np.empty((4, record_idx.size, model.dim, model.dim),
                            dtype=complex)
             montecarlo._TrajectoryStepper(model, t_grid).propagate(
                 paths, rho0, record_idx, out)
+            u0 = frame_rotations(model, t_grid[record_idx])
             for row, path in enumerate(paths):
-                expected = trajectory_states_loop(model.h0, model.v, t_grid,
+                rotating = trajectory_states_loop(model.h0, model.v, t_grid,
                                                   path, rho0, record_idx)
+                expected = u0 @ rotating @ u0.conj().transpose(0, 2, 1)
                 np.testing.assert_allclose(out[row], expected, rtol=0,
                                            atol=1e-13, err_msg=name)
 
@@ -293,6 +299,20 @@ class TestEnsemble:
             np.testing.assert_allclose(result.mean_rho[k],
                                        u0 @ RHO_PLUS_X @ u0.conj().T,
                                        atol=1e-12)
+
+    def test_initial_time_reports_rho0_exactly(self):
+        """U0(0) is exactly the identity, so at t = 0 both solvers report
+        rho0 itself and the MC stderr is exactly zero (fig2 model)."""
+        model = make_model()
+        np.testing.assert_array_equal(frame_rotations(model, 0.0),
+                                      np.eye(2, dtype=complex))
+        config = MCConfig(n_traj=40, dt=0.01, seed=3, batch=20,
+                          stderr_target=1e-12)
+        result = mc_average(model, RHO_PLUS_X, config, np.linspace(0, 1, 6))
+        assert result.stderr_obs[0] == 0.0
+        np.testing.assert_array_equal(result.mean_rho[0], RHO_PLUS_X)
+        state = initial_pce_state(RHO_PLUS_X, enumerate_indices(3, 2))
+        np.testing.assert_array_equal(mean_state(state, model), RHO_PLUS_X)
 
     def test_mean_state_is_physical(self):
         model = make_model()
