@@ -16,8 +16,16 @@ always in the set, the raised ones only where the set contains them.
 
 The stochastic mean is exactly phi_0 (all higher Hermite polynomials have
 zero mean); observable variance falls out of orthogonality for free.
+
+Every phi_m is Hermitian (G is real and the flow is -i[V, .]), so the
+integrator carries each one as d*d real coordinates
+r(X) = (diag X, Re upper(X), Im upper(X)), in which -i[V(t), .] is a real
+(d*d, d*d) matrix K(t).  The per-mode coupling matrices M_n have disjoint
+patterns (M_n[m, l] != 0 only for l = m +- e_n), so sum_n s_n(t) M_n is one
+CSR matrix whose pattern never changes.  Public states stay complex (N, d, d).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -205,33 +213,86 @@ def weighted_norm(state: PCEState) -> float:
     return float(state.basis.weight_norms @ np.sum(np.abs(flat) ** 2, axis=1))
 
 
-def _rhs(lt: np.ndarray, s_vec: np.ndarray, flat: np.ndarray,
-         stacked) -> np.ndarray:
-    """-i sum_n s_n (M_n Y) L_V^T on the flattened (N, d*d) coefficients Y.
+def _to_real(x: np.ndarray) -> np.ndarray:
+    """Real coordinates (diag X, Re upper(X), Im upper(X)) of Hermitian
+    (..., d, d) matrices, shape (..., d*d); upper is the strict upper
+    triangle in np.triu_indices order.  The lower triangle is not read."""
+    d = x.shape[-1]
+    rows, cols = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    upper = x[..., rows, cols]
+    return np.concatenate([x[..., diag, diag].real, upper.real, upper.imag],
+                          axis=-1)
 
-    lt is the stage's -i L_V^T; stacked is [M_1 ... M_S] as one (N, S N)
-    CSR matrix, so the mode sum is one sparse product against the stacked
-    s_n-scaled blocks.
+
+def _from_real(r: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian (..., d, d) matrices with real coordinates r; inverts
+    _to_real bitwise, since both only copy entries."""
+    rows, cols = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    n_upper = rows.size
+    re, im = r[..., d:d + n_upper], r[..., d + n_upper:]
+    x = np.zeros(r.shape[:-1] + (d, d), dtype=complex)
+    x.real[..., diag, diag] = r[..., :d]
+    x.real[..., rows, cols] = re
+    x.imag[..., rows, cols] = im
+    x.real[..., cols, rows] = re
+    x.imag[..., cols, rows] = -im
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def _structure_constants(d: int) -> np.ndarray:
+    """F, shape (d*d, d*d, d*d), with F[c, a] = r(-i [E_c, E_a]), where E_c
+    is the Hermitian matrix whose real coordinates are the unit vector e_c
+    and r is _to_real.  Read-only."""
+    units = _from_real(np.eye(d * d), d)
+    left, right = units[:, None], units[None, :]
+    constants = _to_real(-1j * (left @ right - right @ left))
+    constants.setflags(write=False)
+    return constants
+
+
+def _commutator_kernels(model: StochasticModel, times) -> np.ndarray:
+    """K(t), shape (T, d*d, d*d): the real matrix with r(X) @ K(t) =
+    r(-i [V(t), X]) for Hermitian X, where r is _to_real.
+
+    The commutator is real-linear in V, so K(t) = sum_c r_c(V(t)) F[c] with
+    the structure constants F: one (T, d*d) @ (d*d, d**4) product.
     """
-    z = flat @ lt
-    return stacked @ (s_vec[:, None, None] * z).reshape(-1, z.shape[1])
+    d = model.dim
+    v_t = rotating_frame_potential(model, np.asarray(times, dtype=float))
+    v_coords = _to_real(v_t)
+    constants = _structure_constants(d).reshape(d * d, -1)
+    return (v_coords @ constants).reshape(-1, d * d, d * d)
 
 
-def _stage_data(model: StochasticModel, kle: TruncatedKLE, times: np.ndarray):
-    """Commutator superoperators -i L_V(t)^T and sqrt(lambda) g(t) on the
-    stage grid.
+def _summed_couplings(couplings: GalerkinCouplings):
+    """sum_n s_n M_n as one CSR matrix with a fixed pattern.
 
-    With row-major vec, vec(V X - X V) = (V kron I - I kron V^T) vec(X) =
-    L_V vec(X), so a row vec(X) of the flattened coefficients maps to
-    -i vec([V, X]) under the right product with -i L_V^T.
+    M_n[m, l] is nonzero only for l = m +- e_n, so the modes' patterns are
+    disjoint and the sum has one entry per entry of some M_n.  Entries are
+    ordered by row, then mode, then column.  Returns the matrix (data are
+    the M_n weights) and the mode of each entry; the data at a stage are
+    then weights * s[mode].
     """
-    v_t = rotating_frame_potential(model, times)
-    eye = np.eye(model.dim)
-    l_v = (np.einsum("tij,kl->tikjl", v_t, eye)
-           - np.einsum("ij,tlk->tikjl", eye, v_t))
-    l_v = l_v.reshape(v_t.shape[0], model.dim ** 2, model.dim ** 2)
-    return (-1j * np.swapaxes(l_v, 1, 2),
-            scaled_modes_matrix(kle.modes, model.kernel, times))
+    parts = [matrix.tocoo() for matrix in couplings.mode_matrices]
+    rows = np.concatenate([part.row for part in parts])
+    cols = np.concatenate([part.col for part in parts])
+    weights = np.concatenate([part.data for part in parts])
+    modes = np.concatenate([np.full(part.nnz, n) for n, part in enumerate(parts)])
+    order = np.lexsort((cols, modes, rows))
+    n_basis = couplings.basis.size
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_basis))])
+    summed = sparse.csr_matrix((weights[order], cols[order], indptr),
+                               shape=(n_basis, n_basis))
+    return summed, modes[order]
+
+
+def _rhs(summed, kernel: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_n s_n M_n (Y K) on the real (N, d*d) coordinates Y; summed holds
+    sum_n s_n M_n at the stage and kernel is its K(t)."""
+    return summed @ (y @ kernel)
 
 
 def _check_invariants(state: PCEState) -> None:
@@ -260,12 +321,17 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
 
     Records a PCEState at every t_grid point (the first must equal state.t).
     Within each output interval the step is the largest uniform step not
-    exceeding dt_max (default horizon / 2000).  The commutator
-    superoperators -i L_V(t)^T and sqrt(lambda_n) g_n(t) are evaluated once
-    per interval on the half-step grid, so the integrator itself does no
-    quadrature; the coefficients stay flattened to (N, d*d) between records.
-    Every record is checked for trace and hermiticity drift and for growth of
-    weighted_norm; PropagationDivergedError names the first check that fails.
+    exceeding dt_max (default horizon / 2000).  Between records the
+    coefficients are the real (N, d*d) coordinates Y of _to_real, and one
+    RHS is sum_n s_n(t) M_n (Y K(t)): one dense and one sparse real product.
+    K(t) and the data of the summed coupling matrix, weight * s_n(t) with
+    s_n = sqrt(lambda_n) g_n, are built once per output interval for that
+    interval's stages on the half-step grid, so the integrator itself does
+    no quadrature.  Records are converted back to Hermitian matrices, so
+    their hermiticity error is exactly 0 and only the trace and the
+    weighted_norm checks can see an integrator fault; the input state is
+    checked for trace and hermiticity drift before it is converted.
+    PropagationDivergedError names the first check that fails.
     """
     if (couplings.basis is not state.basis
             and couplings.basis.indices != state.basis.indices):
@@ -290,9 +356,10 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     if not (dt_max > 0):
         raise ValueError(f"dt_max must be positive, got {dt_max}")
 
-    n_basis, d = state.basis.size, state.dim
-    stacked = sparse.hstack(couplings.mode_matrices, format="csr")
-    y = state.coefficients.reshape(n_basis, d * d).astype(complex)
+    d = state.dim
+    summed, entry_modes = _summed_couplings(couplings)
+    entry_weights = summed.data
+    y = _to_real(state.coefficients)
     out = [PCEState(coefficients=state.coefficients, t=float(t_grid[0]),
                     basis=state.basis)]
     _check_invariants(out[0])
@@ -302,15 +369,20 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
         steps = max(1, int(np.ceil(span / dt_max - 1e-12)))
         h = span / steps
         stage_times = t0 + (h / 2) * np.arange(2 * steps + 1)
-        lt_stage, s_stage = _stage_data(model, kle, stage_times)
+        kernels = _commutator_kernels(model, stage_times)
+        s_stage = scaled_modes_matrix(kle.modes, model.kernel, stage_times)
+        data = np.multiply(s_stage.T[:, entry_modes], entry_weights, order="C")
         for j in range(steps):
             i0 = 2 * j
-            k1 = _rhs(lt_stage[i0], s_stage[:, i0], y, stacked)
-            k2 = _rhs(lt_stage[i0 + 1], s_stage[:, i0 + 1], y + (h / 2) * k1, stacked)
-            k3 = _rhs(lt_stage[i0 + 1], s_stage[:, i0 + 1], y + (h / 2) * k2, stacked)
-            k4 = _rhs(lt_stage[i0 + 2], s_stage[:, i0 + 2], y + h * k3, stacked)
+            summed.data = data[i0]
+            k1 = _rhs(summed, kernels[i0], y)
+            summed.data = data[i0 + 1]
+            k2 = _rhs(summed, kernels[i0 + 1], y + (h / 2) * k1)
+            k3 = _rhs(summed, kernels[i0 + 1], y + (h / 2) * k2)
+            summed.data = data[i0 + 2]
+            k4 = _rhs(summed, kernels[i0 + 2], y + h * k3)
             y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        recorded = PCEState(coefficients=y.reshape(n_basis, d, d), t=float(t1),
+        recorded = PCEState(coefficients=_from_real(y, d), t=float(t1),
                             basis=state.basis)
         _check_invariants(recorded)
         _check_weighted_norm(weighted_norm(recorded), norm0, recorded.t)

@@ -16,7 +16,8 @@ row, the stepper's phase is elementwise and its basis change is a per-row
 einsum product, and KLE paths are per-row products.  So a path, and
 every result, is bit-identical for a given (seed, config) regardless of
 execution order, block size or worker count.  Accumulation reduces each
-batch in a single fixed-order pairwise sum and then folds batches in index
+batch in a single fixed-order sum and then folds batches in index order; the
+tracked observable's variance is a two-pass sum per batch, merged in batch
 order.
 """
 
@@ -288,8 +289,12 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
     n_out = engine.record_idx.size
     d = model.dim
     sum_rho = np.zeros((n_out, d, d), dtype=complex)
-    sum_obs = np.zeros(n_out)
-    sum_obs_sq = np.zeros(n_out)
+    # Moments of the samples minus trajectory 0's.  A merge subtracts batch
+    # means; shifted, they are of the size of the spread rather than of the
+    # mean, so a tight spread around a mean near +-1 keeps its digits.
+    shift = None
+    mean_dev = np.zeros(n_out)
+    m2_obs = np.zeros(n_out)
     n_used = 0
     converged = False
 
@@ -314,14 +319,17 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
             else:
                 list(executor.map(run_block, starts))
 
-            # fixed-order pairwise reduction over the batch axis
+            # fixed-order reduction over the batch axis
             sum_rho += np.sum(batch_rho, axis=0)
-            sum_obs += np.sum(batch_obs, axis=0)
-            sum_obs_sq += np.sum(batch_obs**2, axis=0)
+            if shift is None:
+                shift = batch_obs[0].copy()
+            deviations = np.subtract(batch_obs.T, shift[:, None], order="C")
+            mean_dev, m2_obs = _merge_moments(mean_dev, m2_obs, n_used,
+                                              deviations)
             n_used += batch_n
 
             if n_used >= 2:
-                stderr = _stderr(sum_obs, sum_obs_sq, n_used)
+                stderr = _stderr(m2_obs, n_used)
                 converged = bool(np.max(stderr) <= config.stderr_target)
     finally:
         if executor is not None:
@@ -329,10 +337,31 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
 
     return MCEnsemble(times=engine.t_grid[engine.record_idx],
                       mean_rho=sum_rho / n_used,
-                      stderr_obs=_stderr(sum_obs, sum_obs_sq, n_used),
+                      stderr_obs=_stderr(m2_obs, n_used),
                       n_used=n_used, converged=converged)
 
 
-def _stderr(sum_obs: np.ndarray, sum_obs_sq: np.ndarray, n: int) -> np.ndarray:
-    variance = (sum_obs_sq - sum_obs**2 / n) / (n - 1)
-    return np.sqrt(np.maximum(variance, 0.0) / n)
+def _merge_moments(mean: np.ndarray, m2: np.ndarray, n: int,
+                   samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold one batch into the running mean and sum of squared deviations
+    m2 of the n samples before it, per output time.
+
+    samples is (n_out, batch), one contiguous row per output time, and is
+    overwritten.  The batch's own mean and m2 are two-pass pairwise sums
+    along the rows, so a spread far below the mean loses no digits to
+    cancellation, and the two sets are merged by Chan, Golub & LeVeque
+    (Amer. Statist. 37, 1983).  The result depends only on the samples and
+    the batch sizes.
+    """
+    n_batch = samples.shape[1]
+    batch_mean = np.sum(samples, axis=1) / n_batch
+    samples -= batch_mean[:, None]
+    batch_m2 = np.sum(np.square(samples, out=samples), axis=1)
+    total = n + n_batch
+    delta = batch_mean - mean
+    return (mean + delta * (n_batch / total),
+            m2 + batch_m2 + delta**2 * (n * n_batch / total))
+
+
+def _stderr(m2: np.ndarray, n: int) -> np.ndarray:
+    return np.sqrt(m2 / (n - 1) / n)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.special import roots_hermitenorm
 
 from oracles import (
@@ -12,6 +11,7 @@ from oracles import (
     coupling_weights,
     dephasing_coherence,
     dephasing_sx_variance,
+    galerkin_rhs_loop,
     galerkin_rk4_loop,
     galerkin_weight_quadrature,
     gauss_hermite_collocation_rk4,
@@ -37,8 +37,11 @@ from stochpce import (
 from stochpce.hierarchy import (
     PCEState,
     _check_weighted_norm,
+    _commutator_kernels,
+    _from_real,
     _rhs,
-    _stage_data,
+    _summed_couplings,
+    _to_real,
     hermiticity_error,
     mean_state,
     min_eigenvalue,
@@ -202,6 +205,49 @@ class TestCouplings:
                 assert weight == 1.0
 
 
+class TestSummedCouplings:
+    """propagate sums the per-mode matrices into one CSR matrix whose data
+    are weight * s[mode] at each stage."""
+
+    @pytest.mark.parametrize("make_basis", [
+        lambda: enumerate_indices(3, 9),
+        lambda: weighted_set((1, 3, 6), 27),
+    ], ids=["total_degree_p9", "weighted_27"])
+    def test_mode_patterns_are_disjoint(self, make_basis):
+        """M_n[m, l] != 0 only for l = m +- e_n, so no entry belongs to two
+        modes and the summed pattern is fixed."""
+        patterns = [set(zip(*matrix.nonzero()))
+                    for matrix in build_couplings(make_basis()).mode_matrices]
+        assert all(patterns)
+        for left, right in itertools.combinations(patterns, 2):
+            assert not left & right
+
+    def test_summed_matrix_is_the_weighted_mode_sum(self):
+        couplings = build_couplings(weighted_set((1, 3, 6), 27))
+        summed, modes = _summed_couplings(couplings)
+        assert summed.nnz == sum(m.nnz for m in couplings.mode_matrices)
+        s_vec = np.array([0.7, -1.3, 2.1])
+        summed.data = summed.data * s_vec[modes]
+        expected = sum(s_n * matrix
+                       for s_n, matrix in zip(s_vec, couplings.mode_matrices))
+        np.testing.assert_array_equal(summed.toarray(), expected.toarray())
+
+
+class TestRealCoordinates:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_round_trip_is_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        raw = (rng.standard_normal((7, d, d))
+               + 1j * rng.standard_normal((7, d, d)))
+        x = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+        r = _to_real(x)
+        assert r.shape == (7, d * d) and r.dtype == np.float64
+        back = _from_real(r, d)
+        np.testing.assert_array_equal(back.view(np.int64), x.view(np.int64))
+        np.testing.assert_array_equal(_to_real(back).view(np.int64),
+                                      r.view(np.int64))
+
+
 class TestWeightedSets:
     """Downward-closed sets that follow the noise: on fig2 (lambda = 8.71,
     0.175, 0.045) the weighted sets m1 + 3 m2 + 6 m3 <= 27 and <= 36."""
@@ -271,58 +317,75 @@ class TestRHS:
         coeffs = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
         return PCEState(coefficients=coeffs, t=0.3, basis=self.basis)
 
-    def test_rhs_is_traceless_and_hermitian(self):
+    def test_rhs_is_the_commutator_loop(self):
+        """One RHS in real coordinates is r(-i sum_n s_n [V, (M_n phi)_m]),
+        and it is traceless."""
         state = self._random_hermitian_state()
-        lt_stage, s_stage = _stage_data(self.model, self.kle, np.array([0.3]))
-        stacked = sparse.hstack(self.couplings.mode_matrices, format="csr")
-        flat = state.coefficients.reshape(self.basis.size, 4)
-        deriv = _rhs(lt_stage[0], s_stage[:, 0], flat, stacked)
-        deriv = deriv.reshape(self.basis.size, 2, 2)
-        traces = np.trace(deriv, axis1=1, axis2=2)
-        np.testing.assert_allclose(traces, 0.0, atol=1e-12)
-        np.testing.assert_allclose(deriv, deriv.conj().transpose(0, 2, 1),
-                                   atol=1e-12)
+        t = 0.3
+        s_vec = scaled_modes_matrix(self.kle.modes, self.model.kernel, [t])[:, 0]
+        summed, modes = _summed_couplings(self.couplings)
+        summed.data = summed.data * s_vec[modes]
+        deriv = _rhs(summed, _commutator_kernels(self.model, [t])[0],
+                     _to_real(state.coefficients))
+        expected = galerkin_rhs_loop(rotating_frame_potential(self.model, t),
+                                     s_vec, state.coefficients,
+                                     self.couplings.mode_matrices)
+        np.testing.assert_allclose(deriv, _to_real(expected), rtol=0,
+                                   atol=1e-13)
+        np.testing.assert_allclose(deriv[:, :2].sum(axis=1), 0.0, atol=1e-12)
 
     def test_superoperator_is_the_commutator(self):
-        """flat @ lt maps each row vec(X) to -i vec(V X - X V).  A complex,
-        non-diagonal 3x3 V has no symmetry that would hide a transposed or
-        column-major superoperator."""
+        """r(X) @ K(t) is r(-i [V(t), X]).  A complex, non-diagonal 3x3 V has
+        no symmetry that would hide a transposed kernel or a swapped
+        real/imaginary block."""
         model = make_model(OrnsteinUhlenbeckKernel(1.0, 1.0), h0=H0_3,
                            v=V_3)
-        kle = build_kle(model, 2)
         times = np.array([0.0, 0.17, 0.6])
-        lt_stage, _ = _stage_data(model, kle, times)
-        assert lt_stage.shape == (3, 9, 9)
+        kernels = _commutator_kernels(model, times)
+        assert kernels.shape == (3, 9, 9) and kernels.dtype == np.float64
         rng = np.random.default_rng(11)
-        xs = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        raw = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        xs = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
         for k, t in enumerate(times):
             v_t = rotating_frame_potential(model, t)
-            expected = -1j * (v_t @ xs - xs @ v_t)
-            np.testing.assert_allclose(xs.reshape(5, 9) @ lt_stage[k],
-                                       expected.reshape(5, 9), rtol=0,
-                                       atol=1e-14)
-            lt_one, _ = _stage_data(model, kle, times[k:k + 1])
-            np.testing.assert_array_equal(lt_one[0], lt_stage[k])
+            expected = _to_real(-1j * (v_t @ xs - xs @ v_t))
+            np.testing.assert_allclose(_to_real(xs) @ kernels[k], expected,
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(
+                _commutator_kernels(model, times[k:k + 1])[0], kernels[k])
 
-    def test_propagate_matches_commutator_loop(self):
-        """The stacked-CSR x superoperator RHS reproduces RK4 over the
-        per-coefficient commutator loop on a 3x3 model."""
-        model = make_model(OrnsteinUhlenbeckKernel(2.0, 1.0), h0=H0_3,
-                           v=V_3)
-        kle = build_kle(model, 2)
-        basis = enumerate_indices(2, 4)
+    @staticmethod
+    def _assert_matches_commutator_loop(model, kle, basis, rho0, t_grid,
+                                        dt_max):
         couplings = build_couplings(basis)
-        start = initial_pce_state(RHO_3, basis)
-        t_grid = np.array([0.0, 0.3, 0.7, 1.0])
-        states = propagate(start, model, kle, couplings, t_grid, dt_max=0.01)
+        start = initial_pce_state(rho0, basis)
+        states = propagate(start, model, kle, couplings, t_grid, dt_max=dt_max)
         reference = galerkin_rk4_loop(
-            start.coefficients, t_grid, 0.01,
+            start.coefficients, t_grid, dt_max,
             lambda t: rotating_frame_potential(model, t),
             lambda t: scaled_modes_matrix(kle.modes, model.kernel, [t])[:, 0],
             couplings.mode_matrices)
         got = np.array([st.coefficients for st in states])
-        assert np.max(np.abs(reference[-1])) > 0.05  # the noise moved it
+        assert np.max(np.abs(reference[-1, 1:])) > 0.05  # the noise moved it
         np.testing.assert_allclose(got, reference, rtol=0, atol=1e-13)
+
+    def test_propagate_matches_commutator_loop(self):
+        """The real-coordinate RHS reproduces RK4 over the per-coefficient
+        complex commutator loop on a 3x3 model."""
+        model = make_model(OrnsteinUhlenbeckKernel(2.0, 1.0), h0=H0_3,
+                           v=V_3)
+        self._assert_matches_commutator_loop(
+            model, build_kle(model, 2), enumerate_indices(2, 4), RHO_3,
+            np.array([0.0, 0.3, 0.7, 1.0]), 0.01)
+
+    def test_fig2_propagate_matches_commutator_loop(self):
+        """The same on fig2's noise and basis (s = 3, p = 9, N = 220) over a
+        short grid."""
+        model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+        self._assert_matches_commutator_loop(
+            model, build_kle(model, 3, grid_size=400, candidates=12),
+            enumerate_indices(3, 9), RHO_PLUS_X, np.array([0.0, 0.1, 0.25]),
+            5e-3)
 
     def test_rejects_foreign_couplings(self):
         state = initial_pce_state(RHO_PLUS_X, self.basis)

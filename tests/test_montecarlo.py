@@ -1,4 +1,9 @@
 """Trajectory sampler, piecewise-exact stepping, and the ensemble engine."""
+import math
+from dataclasses import replace
+from fractions import Fraction
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from stochpce import (
     mc_average,
 )
 from stochpce import montecarlo
+from stochpce.config import parse_config
 from stochpce.hierarchy import enumerate_indices, initial_pce_state, mean_state
 from stochpce.kle import cumulative_rates, select_modes, solve_fredholm
 from stochpce.montecarlo import sample_ou_path, trajectory_rng
@@ -391,6 +397,34 @@ class TestEnsemble:
                                t_out)
             ratios.append(np.mean(large.stderr_obs[1:] / small.stderr_obs[1:]))
         assert 0.4 <= np.mean(ratios) <= 0.6
+
+    def test_stderr_matches_exact_rational_two_pass(self):
+        """fig1_bottom's <sx> sits near +-1 with a spread down to ~1e-4, where
+        a one-pass variance loses about 7 digits.  Over 400 trajectories, in
+        one batch or merged from several, the stderr matches an exact
+        rational two-pass sum over the same samples to 1e-15 relative."""
+        text = (resources.files("stochpce") / "presets" / "fig1_bottom.ini").read_text()
+        run = parse_config(text)
+        model, rho0 = run.build_model(), run.build_rho0()
+        config = replace(run.mc, n_traj=400, stderr_target=1e-12)
+        t_out = run.output_times()
+        engine = montecarlo._EnsembleEngine(model, rho0, config, t_out,
+                                            SIGMA_X, None)
+        rhos = np.empty((400, t_out.size, 2, 2), dtype=complex)
+        samples = np.empty((400, t_out.size))
+        engine.run_block(range(400), rhos, samples)
+        exact = np.empty(t_out.size)
+        for j in range(t_out.size):
+            column = [Fraction(float(x)) for x in samples[:, j]]
+            mean = sum(column) / 400
+            variance = sum((x - mean) ** 2 for x in column) / 399
+            exact[j] = math.sqrt(variance / 400)
+        assert exact[0] == 0.0 and np.min(exact[1:]) < 1e-5
+        for batch in (500, 100, 37):  # the preset's one batch, then merges
+            result = mc_average(model, rho0, replace(config, batch=batch), t_out)
+            assert result.stderr_obs[0] == 0.0
+            np.testing.assert_allclose(result.stderr_obs[1:], exact[1:],
+                                       rtol=1e-15, atol=0)
 
     def test_early_stop_on_convergence(self):
         model = make_model(alpha=0.3)
