@@ -55,6 +55,8 @@ WEIGHTED_NORM_TOL = 1e-8
 DIVERGENCE_FACTOR = 100.0
 MEAN_TRACE_TOL = 1e-6
 DEFAULT_SUBSTEP_FRACTION = 2000
+BLOCK_SIZE = 16  # output intervals integrated per block, at most
+BLOCK_STAGES = 512  # RK4 stages per block, at most, unless one interval has more
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,35 +193,61 @@ def initial_pce_state(rho0, basis: MultiIndexSet) -> PCEState:
     return PCEState(coefficients=coeffs, t=0.0, basis=basis)
 
 
+def _trace_errors(coeffs: np.ndarray) -> np.ndarray:
+    """max_m |tr phi_m - delta_{m,0}| of each (N, d, d) stack in (..., N, d, d)."""
+    traces = np.einsum("...ii->...", coeffs)
+    traces[..., 0] -= 1.0
+    return np.max(np.abs(traces), axis=-1)
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """||X||_F^2 of each C-contiguous complex (d, d) matrix in (..., d, d)."""
+    flat = x.reshape(x.shape[:-2] + (-1,)).view(float)
+    return np.einsum("...i,...i->...", flat, flat)
+
+
+def _hermiticity_errors(coeffs: np.ndarray) -> np.ndarray:
+    """max_m ||phi_m - phi_m^dag||_F of each (N, d, d) stack in (..., N, d, d)."""
+    dev = coeffs - np.swapaxes(coeffs, -1, -2).conj()
+    return np.max(np.sqrt(_squared_norms(dev)), axis=-1)
+
+
+def _weighted_norms(coeffs: np.ndarray, weight_norms: np.ndarray) -> np.ndarray:
+    """sum_m weight_norms[m] ||phi_m||_F^2 of each stack in (..., N, d, d)."""
+    return _squared_norms(coeffs) @ weight_norms
+
+
 def trace_error(state: PCEState) -> float:
     """max_m |tr phi_m - delta_{m,0}| (every trace is conserved by the flow)."""
-    traces = np.trace(state.coefficients, axis1=1, axis2=2)
-    expected = np.zeros(state.basis.size, dtype=complex)
-    expected[0] = 1.0
-    return float(np.max(np.abs(traces - expected)))
+    return float(_trace_errors(state.coefficients))
 
 
 def hermiticity_error(state: PCEState) -> float:
     """max_m Frobenius norm of phi_m - phi_m^dag."""
-    dev = state.coefficients - state.coefficients.conj().transpose(0, 2, 1)
-    return float(np.max(np.sqrt(np.sum(np.abs(dev) ** 2, axis=(1, 2)))))
+    return float(_hermiticity_errors(state.coefficients))
 
 
 def weighted_norm(state: PCEState) -> float:
     """sum_m (prod_j m_j!) ||phi_m||_F^2, which the truncated Galerkin flow
     conserves exactly: the couplings are symmetric in the Hermite inner
     product and the commutator with V is anti-Hermitian."""
-    flat = state.coefficients.reshape(state.basis.size, -1)
-    return float(state.basis.weight_norms @ np.sum(np.abs(flat) ** 2, axis=1))
+    return float(_weighted_norms(state.coefficients, state.basis.weight_norms))
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle(d: int) -> tuple:
+    """(diag, rows, cols): np.arange(d) and np.triu_indices(d, 1).  Read-only."""
+    parts = (np.arange(d),) + np.triu_indices(d, 1)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
 def _to_real(x: np.ndarray) -> np.ndarray:
     """Real coordinates (diag X, Re upper(X), Im upper(X)) of Hermitian
     (..., d, d) matrices, shape (..., d*d); upper is the strict upper
     triangle in np.triu_indices order.  The lower triangle is not read."""
-    d = x.shape[-1]
-    rows, cols = np.triu_indices(d, 1)
-    diag = np.arange(d)
+    diag, rows, cols = _triangle(x.shape[-1])
     upper = x[..., rows, cols]
     return np.concatenate([x[..., diag, diag].real, upper.real, upper.imag],
                           axis=-1)
@@ -228,8 +256,7 @@ def _to_real(x: np.ndarray) -> np.ndarray:
 def _from_real(r: np.ndarray, d: int) -> np.ndarray:
     """The Hermitian (..., d, d) matrices with real coordinates r; inverts
     _to_real bitwise, since both only copy entries."""
-    rows, cols = np.triu_indices(d, 1)
-    diag = np.arange(d)
+    diag, rows, cols = _triangle(d)
     n_upper = rows.size
     re, im = r[..., d:d + n_upper], r[..., d + n_upper:]
     x = np.zeros(r.shape[:-1] + (d, d), dtype=complex)
@@ -295,15 +322,13 @@ def _rhs(summed, kernel: np.ndarray, y: np.ndarray) -> np.ndarray:
     return summed @ (y @ kernel)
 
 
-def _check_invariants(state: PCEState) -> None:
-    t_err = trace_error(state)
-    h_err = hermiticity_error(state)
+def _check_invariants(t_err: float, h_err: float, t: float) -> None:
     if not (t_err <= DIVERGENCE_FACTOR * TRACE_CONSERVATION_TOL):
         raise PropagationDivergedError(
-            f"trace error {t_err:.3e} at t = {state.t!r}; reduce dt_max")
+            f"trace error {t_err:.3e} at t = {t!r}; reduce dt_max")
     if not (h_err <= DIVERGENCE_FACTOR * HERMITICITY_TOL):
         raise PropagationDivergedError(
-            f"hermiticity error {h_err:.3e} at t = {state.t!r}; reduce dt_max")
+            f"hermiticity error {h_err:.3e} at t = {t!r}; reduce dt_max")
 
 
 def _check_weighted_norm(norm: float, norm0: float, t: float) -> None:
@@ -315,6 +340,60 @@ def _check_weighted_norm(norm: float, norm0: float, t: float) -> None:
             f"at t = {t!r}; reduce dt_max")
 
 
+def _check_records(coeffs: np.ndarray, times, weight_norms: np.ndarray,
+                   norm0: float) -> None:
+    """Check a block's (B, N, d, d) records in time order, each with
+    _check_invariants and then _check_weighted_norm, so the first failing
+    record raises with its first failing check."""
+    checked = zip(times, _trace_errors(coeffs).tolist(),
+                  _hermiticity_errors(coeffs).tolist(),
+                  _weighted_norms(coeffs, weight_norms).tolist())
+    for t, t_err, h_err, norm in checked:
+        _check_invariants(t_err, h_err, t)
+        _check_weighted_norm(norm, norm0, t)
+
+
+def _rk4_interval(summed, kernels: np.ndarray, data: np.ndarray, h: float,
+                  y: np.ndarray) -> np.ndarray:
+    """Classic RK4 steps of size h over one output interval.
+
+    kernels and data are K(t) and the summed matrix's data weight * s_n(t)
+    on the interval's 2 steps + 1 stages (its half-step grid).  The data
+    are pre-scaled by the stage factors (data is overwritten with its h/2
+    multiple), so the four _rhs calls of a step return a1 = (h/2) k1,
+    a2 = (h/2) k2, a3 = h k3 and a4 = (h/6) k4, and the step is
+    y + ((a1 + 2 a2 + a3) / 3 + a4).
+    """
+    full, sixth = h * data[1::2], (h / 6) * data[2::2]
+    half = np.multiply(data, h / 2, out=data)
+    for j in range(len(full)):
+        summed.data = half[2 * j]
+        a1 = _rhs(summed, kernels[2 * j], y)
+        summed.data = half[2 * j + 1]
+        a2 = _rhs(summed, kernels[2 * j + 1], y + a1)
+        summed.data = full[j]
+        a3 = _rhs(summed, kernels[2 * j + 1], y + a2)
+        summed.data = sixth[j]
+        a4 = _rhs(summed, kernels[2 * j + 2], y + a3)
+        y = y + ((a1 + 2 * a2 + a3) / 3 + a4)
+    return y
+
+
+def _blocks(steps):
+    """Consecutive ranges of output intervals, given each one's RK4 step
+    count: up to BLOCK_SIZE intervals with up to BLOCK_STAGES stages in all
+    (2 steps + 1 per interval), or one interval that alone has more."""
+    first = 0
+    while first < len(steps):
+        stop, stages = first + 1, 2 * steps[first] + 1
+        while (stop < min(first + BLOCK_SIZE, len(steps))
+               and stages + 2 * steps[stop] + 1 <= BLOCK_STAGES):
+            stages += 2 * steps[stop] + 1
+            stop += 1
+        yield range(first, stop)
+        first = stop
+
+
 def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
               couplings: GalerkinCouplings, t_grid, dt_max: float | None = None):
     """Integrate the hierarchy with fixed-step classic RK4.
@@ -324,14 +403,20 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     exceeding dt_max (default horizon / 2000).  Between records the
     coefficients are the real (N, d*d) coordinates Y of _to_real, and one
     RHS is sum_n s_n(t) M_n (Y K(t)): one dense and one sparse real product.
-    K(t) and the data of the summed coupling matrix, weight * s_n(t) with
-    s_n = sqrt(lambda_n) g_n, are built once per output interval for that
-    interval's stages on the half-step grid, so the integrator itself does
-    no quadrature.  Records are converted back to Hermitian matrices, so
-    their hermiticity error is exactly 0 and only the trace and the
-    weighted_norm checks can see an integrator fault; the input state is
-    checked for trace and hermiticity drift before it is converted.
-    PropagationDivergedError names the first check that fails.
+
+    The grid is integrated in blocks of BLOCK_SIZE output intervals, fewer
+    where their steps would exceed BLOCK_STAGES stages (_blocks).  K(t) and
+    s_n(t) = sqrt(lambda_n) g_n(t) are built once per block, on all its
+    intervals' stages on the half-step grid, so the integrator itself does
+    no quadrature.  The data of the summed coupling matrix, weight * s_n(t),
+    are built per interval and pre-scaled by the RK4 stage factors h/2, h
+    and h/6 (_rk4_interval).  The block's records are converted back to
+    Hermitian matrices together, so their hermiticity error is exactly 0
+    and only the trace and the weighted_norm checks can see an integrator
+    fault.  Every record is checked, at the end of its block; the input
+    state is checked for trace and hermiticity drift before it is
+    converted.  PropagationDivergedError names the first failing time and
+    the first check that fails there.
     """
     if (couplings.basis is not state.basis
             and couplings.basis.indices != state.basis.indices):
@@ -357,36 +442,38 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
         raise ValueError(f"dt_max must be positive, got {dt_max}")
 
     d = state.dim
+    basis = state.basis
     summed, entry_modes = _summed_couplings(couplings)
-    entry_weights = summed.data
+    # data = s_stage.T @ mode_weights is weight * s[mode]: one product per entry
+    mode_weights = np.zeros((basis.s, summed.nnz))
+    mode_weights[entry_modes, np.arange(summed.nnz)] = summed.data
+    times = t_grid.tolist()
+    _check_invariants(trace_error(state), hermiticity_error(state), times[0])
+    norm0 = weighted_norm(state)
+    out = [PCEState(coefficients=state.coefficients, t=times[0], basis=basis)]
     y = _to_real(state.coefficients)
-    out = [PCEState(coefficients=state.coefficients, t=float(t_grid[0]),
-                    basis=state.basis)]
-    _check_invariants(out[0])
-    norm0 = weighted_norm(out[0])
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        span = t1 - t0
-        steps = max(1, int(np.ceil(span / dt_max - 1e-12)))
-        h = span / steps
-        stage_times = t0 + (h / 2) * np.arange(2 * steps + 1)
-        kernels = _commutator_kernels(model, stage_times)
+    steps = [max(1, int(np.ceil((t1 - t0) / dt_max - 1e-12)))
+             for t0, t1 in zip(times[:-1], times[1:])]
+    for block in _blocks(steps):
+        sizes = [(times[i + 1] - times[i]) / steps[i] for i in block]
+        stage_times = np.concatenate(
+            [times[i] + (h / 2) * np.arange(2 * steps[i] + 1)
+             for i, h in zip(block, sizes)])
+        block_kernels = _commutator_kernels(model, stage_times)
         s_stage = scaled_modes_matrix(kle.modes, model.kernel, stage_times)
-        data = np.multiply(s_stage.T[:, entry_modes], entry_weights, order="C")
-        for j in range(steps):
-            i0 = 2 * j
-            summed.data = data[i0]
-            k1 = _rhs(summed, kernels[i0], y)
-            summed.data = data[i0 + 1]
-            k2 = _rhs(summed, kernels[i0 + 1], y + (h / 2) * k1)
-            k3 = _rhs(summed, kernels[i0 + 1], y + (h / 2) * k2)
-            summed.data = data[i0 + 2]
-            k4 = _rhs(summed, kernels[i0 + 2], y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        recorded = PCEState(coefficients=_from_real(y, d), t=float(t1),
-                            basis=state.basis)
-        _check_invariants(recorded)
-        _check_weighted_norm(weighted_norm(recorded), norm0, recorded.t)
-        out.append(recorded)
+        records = np.empty((len(block), basis.size, d * d))
+        start = 0
+        for pos, (i, h) in enumerate(zip(block, sizes)):
+            stages = slice(start, start + 2 * steps[i] + 1)
+            y = _rk4_interval(summed, block_kernels[stages],
+                              s_stage[:, stages].T @ mode_weights, h, y)
+            records[pos] = y
+            start = stages.stop
+        coeffs = _from_real(records, d)
+        record_times = times[block.start + 1:block.stop + 1]
+        _check_records(coeffs, record_times, basis.weight_norms, norm0)
+        out.extend(PCEState(coefficients=c, t=t, basis=basis)
+                   for c, t in zip(coeffs, record_times))
     return out
 
 

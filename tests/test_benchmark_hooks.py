@@ -1,16 +1,31 @@
 """What the traced benchmark run (perfbench/spans.py) needs from the package.
 
-The benchmark wraps names that stochpce.cli imports and reads the coupling
-matrices propagate is given; a refactor that drops either would break the
-traced run without failing any other test.  This only reads perfbench/.
+The benchmark wraps names that stochpce.cli imports, reads the coupling
+matrices propagate is given and counts 4 hierarchy._rhs calls per RK4 step;
+a refactor that breaks any of these would break the traced run without
+failing any other test.  This only reads perfbench/.
 """
 import importlib.util
 import os
 
+import numpy as np
 from scipy import sparse
 
-from stochpce import build_couplings, cli, enumerate_indices
+from stochpce import (
+    IDENTITY,
+    SIGMA_X,
+    SIGMA_Z,
+    OrnsteinUhlenbeckKernel,
+    StochasticModel,
+    build_couplings,
+    cli,
+    enumerate_indices,
+    hierarchy,
+    initial_pce_state,
+    propagate,
+)
 from stochpce.config import RunConfig
+from stochpce.kle import select_modes, solve_fredholm
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "spans.py")
@@ -38,3 +53,25 @@ def test_mode_matrices_are_csr():
                for matrix in couplings.mode_matrices)
     flops, nbytes = spans.rhs_cost(couplings.mode_matrices, 2)
     assert flops > 0 and nbytes > 0
+
+
+def test_propagate_makes_four_rhs_calls_per_rk4_step(monkeypatch):
+    """BLOCK_SIZE + 3 intervals of 1/32 at dt_max 1/80 take 3 steps each."""
+    model = StochasticModel(h0=SIGMA_X, v=SIGMA_Z,
+                            kernel=OrnsteinUhlenbeckKernel(1.0, 1.0), horizon=1.0)
+    kle = select_modes(solve_fredholm(model.kernel, 1.0, 50, 2), [2.0, 1.0], 2)
+    basis = enumerate_indices(2, 2)
+    n_intervals = hierarchy.BLOCK_SIZE + 3
+    t_grid = np.arange(n_intervals + 1) / 32
+    calls = []
+    original = hierarchy._rhs
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(hierarchy, "_rhs", counting)
+    propagate(initial_pce_state(0.5 * (IDENTITY + SIGMA_X), basis), model, kle,
+              build_couplings(basis), t_grid, dt_max=1 / 80)
+    assert load_spans().rk4_steps(list(t_grid), 1 / 80) == 3 * n_intervals
+    assert len(calls) == 4 * 3 * n_intervals

@@ -1,6 +1,7 @@
 """Hermite-Galerkin hierarchy: basis, couplings, integrator, moments."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,11 +32,17 @@ from stochpce import (
     StochasticModel,
     build_couplings,
     enumerate_indices,
+    hierarchy,
     initial_pce_state,
     propagate,
 )
 from stochpce.hierarchy import (
+    BLOCK_SIZE,
+    BLOCK_STAGES,
+    DIVERGENCE_FACTOR,
+    WEIGHTED_NORM_TOL,
     PCEState,
+    _blocks,
     _check_weighted_norm,
     _commutator_kernels,
     _from_real,
@@ -491,6 +498,35 @@ class TestPropagateValidation:
                       build_couplings(basis), np.linspace(0.0, 1.0, 5),
                       dt_max=0.25)
 
+    def test_divergence_inside_a_block_names_its_record(self, monkeypatch):
+        """Records are checked at the end of their block, but the error names
+        the first failing time.  Four short intervals are stable; the fifth
+        (one step of 0.246) is not, and three records follow it in the same
+        block.  The expected time comes from chained one-interval runs with
+        the checks switched off."""
+        model = make_model(OrnsteinUhlenbeckKernel(30.0, 1.0))
+        kle = build_kle(model, 2)
+        basis = enumerate_indices(2, 12)
+        couplings = build_couplings(basis)
+        start = initial_pce_state(RHO_PLUS_X, basis)
+        grid = [0.0, 0.001, 0.002, 0.003, 0.004, 0.25, 0.5, 0.75, 1.0]
+        assert len(grid) - 1 <= BLOCK_SIZE
+        with monkeypatch.context() as patch:
+            patch.setattr(hierarchy, "DIVERGENCE_FACTOR", np.inf)
+            state, norms = start, []
+            for t0, t1 in zip(grid[:-1], grid[1:]):
+                state = propagate(state, model, kle, couplings, [t0, t1],
+                                  dt_max=0.25)[-1]
+                norms.append(weighted_norm(state))
+        bound = weighted_norm(start) * (1.0 + DIVERGENCE_FACTOR
+                                        * WEIGHTED_NORM_TOL)
+        first = next(pos for pos, norm in enumerate(norms) if not norm <= bound)
+        assert 0 < first < len(norms) - 1
+        message = (f"weighted norm {norms[first]:.3e} exceeds its initial "
+                   f"{weighted_norm(start):.3e} at t = {grid[first + 1]!r};")
+        with pytest.raises(PropagationDivergedError, match=re.escape(message)):
+            propagate(start, model, kle, couplings, grid, dt_max=0.25)
+
 
 class TestPropagation:
     def test_invariants_along_a_driven_run(self):
@@ -507,6 +543,42 @@ class TestPropagation:
             assert trace_error(st) <= 1e-8
             assert hermiticity_error(st) <= 1e-8
             assert abs(weighted_norm(st) - norm0) <= 1e-9
+
+    def test_blocks_match_chained_single_intervals(self):
+        """Integrating in blocks of BLOCK_SIZE intervals gives the chained
+        one-interval results, on an uneven grid of three full blocks and a
+        partial one whose intervals take 1 to 4 steps each."""
+        model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+        kle = build_kle(model, 2)
+        basis = enumerate_indices(2, 4)
+        couplings = build_couplings(basis)
+        n_intervals = 3 * BLOCK_SIZE + 5
+        spans = 0.004 * (1 + np.arange(n_intervals) % 4) - 1e-4
+        grid = np.concatenate([[0.0], np.cumsum(spans)])
+        state = initial_pce_state(RHO_PLUS_X, basis)
+        states = propagate(state, model, kle, couplings, grid, dt_max=0.004)
+        chained = [state]
+        for t0, t1 in zip(grid[:-1], grid[1:]):
+            chained.append(propagate(chained[-1], model, kle, couplings,
+                                     [t0, t1], dt_max=0.004)[-1])
+        assert [st.t for st in states] == [st.t for st in chained]
+        got = np.array([st.coefficients for st in states])
+        expected = np.array([st.coefficients for st in chained])
+        assert np.max(np.abs(expected[-1, 1:])) > 0.01  # the noise moved it
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    def test_blocks_respect_the_stage_budget(self):
+        """Blocks tile the intervals in order with at most BLOCK_SIZE
+        intervals and BLOCK_STAGES stages each, unless one interval alone
+        has more stages."""
+        big = BLOCK_STAGES // 2  # 2 * big + 1 stages: over budget alone
+        steps = [1] * (BLOCK_SIZE + 3) + [big] + [big // 2] * 3 + [1]
+        blocks = list(_blocks(steps))
+        assert [i for block in blocks for i in block] == list(range(len(steps)))
+        assert [len(block) for block in blocks] == [BLOCK_SIZE, 3, 1, 1, 1, 2]
+        for block in blocks:
+            stages = sum(2 * steps[i] + 1 for i in block)
+            assert stages <= BLOCK_STAGES or len(block) == 1
 
     def test_rk4_convergence_order(self):
         """Halving dt_max shrinks the self-error vs a dt/4 reference by ~17x:
