@@ -356,6 +356,17 @@ spacing = 0.1
                      "--out", str(tmp_path / "out")]) == 2
         assert "numerical error" in capsys.readouterr().err
 
+    def test_overflowing_weight_exits_2(self, tmp_path, capsys):
+        """p = 171 on one mode needs 171!, past float64: a typed error, no
+        traceback."""
+        text = TINY.replace("s = 2", "s = 1").replace("p = 3", "p = 171")
+        cfg = write_config(tmp_path, text)
+        assert main(["pce", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "(171,)" in err
+        assert "Traceback" not in err
+
     def test_bad_seed_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["mc", "--config", cfg, "--seed", "-5"]) == 1

@@ -2,6 +2,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ from stochpce.hierarchy import (
     _commutator_kernels,
     _from_real,
     _rhs,
+    _rk4_steps,
+    _runs,
     _summed_couplings,
     _to_real,
     hermiticity_error,
@@ -167,6 +170,13 @@ class TestMultiIndexSet:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             enumerate_indices(40, 10)  # comb(50, 10) ~ 1e10 coefficients
+
+    def test_weight_past_float64_is_a_capacity_error(self):
+        """171! overflows a float64; 170! does not."""
+        with pytest.raises(CapacityError, match=r"\(171,\)"):
+            enumerate_indices(1, 171)
+        basis = enumerate_indices(1, 170)
+        assert basis.weight_norms[-1] == float(math.factorial(170))
 
 
 class TestCouplings:
@@ -331,9 +341,10 @@ class TestRHS:
         t = 0.3
         s_vec = scaled_modes_matrix(self.kle.modes, self.model.kernel, [t])[:, 0]
         summed, modes = _summed_couplings(self.couplings)
-        summed.data = summed.data * s_vec[modes]
-        deriv = _rhs(summed, _commutator_kernels(self.model, [t])[0],
-                     _to_real(state.coefficients))
+        y = _to_real(state.coefficients)
+        x, out = np.empty((2,) + y.shape)
+        deriv = _rhs(summed, summed.data * s_vec[modes],
+                     _commutator_kernels(self.model, [t])[0], y, x, out)
         expected = galerkin_rhs_loop(rotating_frame_potential(self.model, t),
                                      s_vec, state.coefficients,
                                      self.couplings.mode_matrices)
@@ -360,6 +371,65 @@ class TestRHS:
                                        rtol=0, atol=1e-14)
             np.testing.assert_array_equal(
                 _commutator_kernels(model, times[k:k + 1])[0], kernels[k])
+
+    @staticmethod
+    def _rhs_case(name):
+        """(summed, kernels, y) on fig2's basis (s = 3, p = 9, qubit) or a
+        qutrit one, with random stage data and coordinates and K(t) at
+        five times."""
+        rng = np.random.default_rng(5)
+        if name == "fig2":
+            model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+            basis = enumerate_indices(3, 9)
+        else:
+            model = make_model(OrnsteinUhlenbeckKernel(1.0, 1.0), h0=H0_3,
+                               v=V_3)
+            basis = enumerate_indices(2, 4)
+        summed, _ = _summed_couplings(build_couplings(basis))
+        summed.data = rng.standard_normal(summed.nnz)
+        kernels = _commutator_kernels(model, 0.05 * np.arange(5))
+        y = rng.standard_normal((basis.size, model.dim ** 2))
+        return summed, kernels, y
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("name", ["fig2", "qutrit"])
+    def test_rhs_is_bitwise_the_sparse_product(self, name, order):
+        """The direct kernel call is bitwise summed @ (y @ kernel), whatever
+        the buffers held before.  The integrator's buffers are C-contiguous;
+        Fortran-ordered ones must still receive the result, not a copy."""
+        summed, kernels, y = self._rhs_case(name)
+        x, out = (np.full(y.shape, np.nan, order=order) for _ in range(2))
+        for kernel in kernels:
+            got = _rhs(summed, summed.data, kernel, y, x, out)
+            assert got is out
+            np.testing.assert_array_equal(got, summed @ (y @ kernel))
+
+    @pytest.mark.parametrize("name", ["fig2", "qutrit"])
+    def test_buffered_steps_are_bitwise_the_rk4_expression(self, name):
+        """Two _rk4_steps steps are, bit for bit, the steps
+        y + ((a1 + 2 a2 + a3) / 3 + a4) formed from fresh arrays."""
+        summed, kernels, y = self._rhs_case(name)
+        h = 0.01
+        data = np.random.default_rng(6).standard_normal((5, summed.nnz))
+
+        def product(stage_data, kernel, x):
+            matrix = summed.copy()
+            matrix.data = stage_data
+            return matrix @ (x @ kernel)
+
+        expected = y
+        for j in range(2):
+            a1 = product((h / 2) * data[2 * j], kernels[2 * j], expected)
+            a2 = product((h / 2) * data[2 * j + 1], kernels[2 * j + 1],
+                         expected + a1)
+            a3 = product(h * data[2 * j + 1], kernels[2 * j + 1],
+                         expected + a2)
+            a4 = product((h / 6) * data[2 * j + 2], kernels[2 * j + 2],
+                         expected + a3)
+            expected = expected + ((a1 + 2 * a2 + a3) / 3 + a4)
+        got = y.copy()
+        _rk4_steps(summed, kernels, data, h, got)
+        np.testing.assert_array_equal(got, expected)
 
     @staticmethod
     def _assert_matches_commutator_loop(model, kle, basis, rho0, t_grid,
@@ -579,6 +649,49 @@ class TestPropagation:
         for block in blocks:
             stages = sum(2 * steps[i] + 1 for i in block)
             assert stages <= BLOCK_STAGES or len(block) == 1
+
+    def test_long_interval_runs(self, monkeypatch):
+        """An interval over the stage budget is integrated in runs of
+        RUN_STEPS steps; the records match one unsplit run to 1e-14."""
+        n_steps = 2 * hierarchy.RUN_STEPS + 90
+        assert _runs(range(0, 1), [n_steps]) == [
+            [(0, 0, hierarchy.RUN_STEPS)],
+            [(0, hierarchy.RUN_STEPS, 2 * hierarchy.RUN_STEPS)],
+            [(0, 2 * hierarchy.RUN_STEPS, n_steps)]]
+        assert _runs(range(3, 5), [0, 0, 0, 7, 9]) == [[(3, 0, 7), (4, 0, 9)]]
+        model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+        kle = build_kle(model, 2)
+        basis = enumerate_indices(2, 3)
+        couplings = build_couplings(basis)
+        state = initial_pce_state(RHO_PLUS_X, basis)
+        grid = [0.0, 0.4, 0.41, 1.0]
+        dt_max = 0.6 / n_steps
+        split = propagate(state, model, kle, couplings, grid, dt_max=dt_max)
+        monkeypatch.setattr(hierarchy, "BLOCK_STAGES", 10 ** 9)
+        whole = propagate(state, model, kle, couplings, grid, dt_max=dt_max)
+        got = np.array([st.coefficients for st in split])
+        expected = np.array([st.coefficients for st in whole])
+        assert np.max(np.abs(expected[-1, 1:])) > 0.01  # the noise moved it
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        """One output interval of ~20000 steps peaks within 1.5x of one of
+        ~500 steps: stage data are built per run, not per interval."""
+        model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+        kle = build_kle(model, 2)
+        basis = enumerate_indices(2, 2)
+        couplings = build_couplings(basis)
+        state = initial_pce_state(RHO_PLUS_X, basis)
+        peaks = []
+        for n_steps in (500, 20000):
+            tracemalloc.start()
+            try:
+                propagate(state, model, kle, couplings, [0.0, 1.0],
+                          dt_max=1.0 / n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_rk4_convergence_order(self):
         """Halving dt_max shrinks the self-error vs a dt/4 reference by ~17x:
