@@ -128,21 +128,12 @@ def _pce_curve(config: RunConfig, model, rho0, observable, kle, p: int):
     t_out = config.output_times()
     states = propagate(state0, model, kle, couplings, t_out,
                        dt_max=config.pce.dt_max)
-    means = np.empty(t_out.size)
-    variances = np.empty(t_out.size)
-    trace_errs = np.empty(t_out.size)
-    herm_errs = np.empty(t_out.size)
-    min_eigs = np.empty(t_out.size)
-    for pos, state in enumerate(states):
-        rho = mean_state(state, model)
-        means[pos] = expectation(observable, rho)
-        variances[pos] = observable_variance(state, observable, model)
-        trace_errs[pos] = trace_error(state)
-        herm_errs[pos] = hermiticity_error(state)
-        min_eigs[pos] = min_eigenvalue(rho)
-    return {"times": t_out, "mean": means, "variance": variances,
-            "trace_err": trace_errs, "herm_err": herm_errs,
-            "min_eig": min_eigs, "n_equations": basis.size}
+    rho = mean_state(states, model)
+    return {"times": t_out, "mean": expectation(observable, rho),
+            "variance": observable_variance(states, observable, model),
+            "trace_err": trace_error(states),
+            "herm_err": hermiticity_error(states),
+            "min_eig": min_eigenvalue(rho), "n_equations": basis.size}
 
 
 def _write_curve(path: str, header, volatile, curve) -> None:

@@ -31,6 +31,17 @@ summed entries, d*d = 4 columns; 2-vCPU Xeon host, timeit medians)
 the rest is operator dispatch and a fresh result array.  So each RK4 stage
 writes into buffers allocated once per run of steps, and _rhs calls
 csr_matvecs on them directly: one RHS takes 6.0 us instead of 9.3 us.
+
+The read-out functions (mean_state, observable_mean, observable_variance,
+trace_error, hermiticity_error, min_eigenvalue) take one PCEState or a
+sequence of them, min_eigenvalue a (d, d) matrix or a (T, d, d) stack, and
+answer in kind: a float or a (d, d) matrix for one, a (T,) or (T, d, d)
+array for a batch.  One item is computed as a batch of one, so every batch
+entry is bitwise its single call, and a batch raises the single call's
+error for its first failing record, naming that record's time.  On a
+2-vCPU Xeon host, reading out the 201 records of a fig2 run (N = 220) this
+way takes about 9 ms, against about 50 ms for one call per record and
+function.
 """
 
 import functools
@@ -50,10 +61,12 @@ from .errors import (
 from .kle import TruncatedKLE, scaled_modes_matrix
 from .operators import (
     StochasticModel,
+    as_operator_stack,
     check_hermitian,
     expectation,
     frame_rotations,
     rotating_frame_potential,
+    unstack,
     validate_density_matrix,
 )
 
@@ -235,14 +248,55 @@ def _weighted_norms(coeffs: np.ndarray, weight_norms: np.ndarray) -> np.ndarray:
     return _squared_norms(coeffs) @ weight_norms
 
 
-def trace_error(state: PCEState) -> float:
-    """max_m |tr phi_m - delta_{m,0}| (every trace is conserved by the flow)."""
-    return float(_trace_errors(state.coefficients))
+def _state_batch(states) -> tuple:
+    """(records, batched): one PCEState as the batch of one, with batched
+    False, or a nonempty sequence of them as a list, with batched True."""
+    if isinstance(states, PCEState):
+        return [states], False
+    records = list(states)
+    if not records:
+        raise ValueError("a batch needs at least one PCEState")
+    return records, True
 
 
-def hermiticity_error(state: PCEState) -> float:
-    """max_m Frobenius norm of phi_m - phi_m^dag."""
-    return float(_hermiticity_errors(state.coefficients))
+def _blockwise(records: list, reduce, *per_record) -> np.ndarray:
+    """reduce(coeffs, *args) on the records in blocks of BLOCK_SIZE,
+    concatenated along the first axis.
+
+    coeffs is a block's stacked (B, N, d, d) coefficients and args are the
+    block's slices of the per_record arrays.  reduce must treat each record
+    on its own, so the result does not depend on the blocking.  Only one
+    block's copy of the coefficients is live at a time: a read-out of all
+    records then needs no more memory than propagate's records of a block.
+    """
+    basis = records[0].basis
+    if any(r.basis is not basis and r.basis.indices != basis.indices
+           for r in records):
+        raise DimensionMismatchError("the states of a batch use different bases")
+    parts = []
+    for first in range(0, len(records), BLOCK_SIZE):
+        block = slice(first, first + BLOCK_SIZE)
+        coeffs = np.stack([r.coefficients for r in records[block]])
+        parts.append(reduce(coeffs, *(a[block] for a in per_record)))
+    return np.concatenate(parts)
+
+
+def trace_error(states):
+    """max_m |tr phi_m - delta_{m,0}| (every trace is conserved by the flow).
+
+    A float for one PCEState, a (T,) array for a sequence of them.
+    """
+    records, batched = _state_batch(states)
+    return unstack(_blockwise(records, _trace_errors), batched)
+
+
+def hermiticity_error(states):
+    """max_m Frobenius norm of phi_m - phi_m^dag.
+
+    A float for one PCEState, a (T,) array for a sequence of them.
+    """
+    records, batched = _state_batch(states)
+    return unstack(_blockwise(records, _hermiticity_errors), batched)
 
 
 def weighted_norm(state: PCEState) -> float:
@@ -529,44 +583,91 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     return out
 
 
-def mean_state(state: PCEState, model: StochasticModel) -> np.ndarray:
+def mean_state(states, model: StochasticModel) -> np.ndarray:
     """The stochastic-mean density matrix in the Schrodinger frame.
 
     E[Phi_m] vanishes for m != 0, so the mean is phi_0 conjugated back by
-    U0(t).  Positivity is not enforced (the truncated hierarchy does not
-    guarantee it); use min_eigenvalue to monitor it.
+    U0(t).  One PCEState gives a (d, d) matrix, a sequence of them a
+    (T, d, d) stack.  A trace off 1 by more than MEAN_TRACE_TOL, NaN
+    included, raises CorruptedStateError for the first such record, named
+    by its time.  Positivity is not enforced (the truncated hierarchy does
+    not guarantee it); use min_eigenvalue to monitor it.
     """
-    u0 = frame_rotations(model, state.t)
-    rho = u0 @ state.coefficients[0] @ u0.conj().T
-    tr = np.trace(rho)
-    if not (abs(tr - 1.0) <= MEAN_TRACE_TOL):
+    records, batched = _state_batch(states)
+    u0 = frame_rotations(model, np.array([r.t for r in records]))
+    phi0 = np.stack([r.coefficients[0] for r in records])
+    rho = u0 @ phi0 @ np.swapaxes(u0.conj(), -1, -2)
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    bad = ~(np.abs(tr - 1.0) <= MEAN_TRACE_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise CorruptedStateError(
-            f"mean state trace {tr!r} deviates from 1 beyond {MEAN_TRACE_TOL:.1e}")
-    return 0.5 * (rho + rho.conj().T)
+            f"mean state trace {tr[k]} at t = {records[k].t!r} deviates "
+            f"from 1 beyond {MEAN_TRACE_TOL:.1e}")
+    return unstack(0.5 * (rho + np.swapaxes(rho.conj(), -1, -2)), batched)
 
 
-def min_eigenvalue(rho) -> float:
-    """Smallest eigenvalue of a (near-)Hermitian matrix; positivity monitor."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+def min_eigenvalue(rho):
+    """Smallest eigenvalue of a (near-)Hermitian matrix; positivity monitor.
+
+    A float for one (d, d) matrix, a (T,) array for a (T, d, d) stack.
+    Non-finite entries raise CorruptedStateError, for a stack naming the
+    index of the first matrix that has them.
+    """
+    rho, batched = as_operator_stack(rho)
+    bad = ~np.all(np.isfinite(rho), axis=(-2, -1))
+    if bad.any():
+        where = f" {int(np.argmax(bad))}" if batched else ""
+        raise CorruptedStateError(f"matrix{where} has non-finite entries; "
+                                  f"its eigenvalues are undefined")
+    hermitian = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
+    return unstack(np.linalg.eigvalsh(hermitian).min(axis=-1), batched)
 
 
-def observable_mean(state: PCEState, obs, model: StochasticModel) -> float:
-    """tr(obs * mean_state), reported in the Schrodinger frame."""
-    return expectation(obs, mean_state(state, model))
+def observable_mean(states, obs, model: StochasticModel):
+    """tr(obs * mean_state), reported in the Schrodinger frame.
+
+    A float for one PCEState, a (T,) array for a sequence of them.
+    """
+    return expectation(obs, mean_state(states, model))
 
 
-def observable_variance(state: PCEState, obs, model: StochasticModel) -> float:
+def _traces_with(coeffs: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Re tr(obs[b] phi_m) of (B, N, d, d) coefficients, shape (B, N); obs
+    is (B, d, d), one operator per record.
+
+    The operator is copied out to every coefficient, so einsum contracts
+    B*N pairs of (d, d) matrices alike: each entry is then bitwise the same
+    for any B.  With the record axis left to broadcast
+    (einsum("bij,bmji->bm")) the summation order changes once B > 1.
+    """
+    b, n, d, _ = coeffs.shape
+    paired = np.broadcast_to(obs[:, None], coeffs.shape).reshape(b * n, d, d)
+    traces = np.einsum("kij,kji->k", paired, coeffs.reshape(b * n, d, d))
+    return traces.real.reshape(b, n)
+
+
+def observable_variance(states, obs, model: StochasticModel):
     """Noise-induced variance of tr(obs rho(xi)) across realizations.
 
     Orthogonality of the Hermite basis gives
     Var = sum_{m != 0} (prod_j m_j!) tr(obs_rot phi_m)^2 with obs rotated into
-    the propagation frame; no sampling involved.
+    the propagation frame; no sampling involved.  A float for one PCEState,
+    a (T,) array for a sequence of them.  A record with a non-finite
+    coefficient raises CorruptedStateError, for the first such record,
+    named by its time.
     """
     obs = check_hermitian(obs)
-    if obs.shape[0] != state.dim:
+    records, batched = _state_batch(states)
+    if obs.shape[0] != records[0].dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    u0 = frame_rotations(model, state.t)
-    obs_rot = u0.conj().T @ obs @ u0
-    values = np.einsum("ij,mji->m", obs_rot, state.coefficients).real
-    return float(np.sum(state.basis.weight_norms[1:] * values[1:] ** 2))
+    u0 = frame_rotations(model, np.array([r.t for r in records]))
+    obs_rot = np.swapaxes(u0.conj(), -1, -2) @ obs @ u0
+    values = _blockwise(records, _traces_with, obs_rot)
+    bad = ~np.all(np.isfinite(values), axis=-1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise CorruptedStateError(
+            f"state at t = {records[k].t!r} has non-finite coefficients")
+    weights = records[0].basis.weight_norms[1:]
+    return unstack(np.sum(weights * values[:, 1:] ** 2, axis=-1), batched)

@@ -3,7 +3,8 @@
 Operators are plain complex numpy arrays (dimensionless units, hbar = 1).
 This module provides the Pauli constants, structural validators, the
 batched h0 frame rotation U0(t), the rotating-frame noise coupling, and
-observable expectations.
+observable expectations, of one state or of a (T, d, d) stack of them
+(as_operator_stack and unstack carry that shape rule).
 
 All functions are pure; returned arrays are freshly allocated.
 """
@@ -139,13 +140,50 @@ def rotating_frame_potential(model: StochasticModel, t) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
-def expectation(obs, rho) -> float:
-    """tr(obs rho) for Hermitian obs; the imaginary part must vanish."""
+def as_operator_stack(a) -> tuple:
+    """(stack, batched) for a square matrix or a stack of them, as complex.
+
+    A (d, d) matrix becomes the (1, d, d) stack of one, with batched False;
+    a (T, d, d) stack is returned as it is, with batched True.  Functions
+    that take either compute on the stack only and return unstack(values,
+    batched), so one item is a batch of one.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise InvalidOperatorError(
+            f"expected a (d, d) operator or a (T, d, d) stack, got shape {a.shape}")
+    return a.reshape((-1,) + a.shape[-2:]), a.ndim == 3
+
+
+def unstack(values: np.ndarray, batched: bool):
+    """A batch's results as they are, or the one entry of a batch of one:
+    its (d, d) array, or a float where entries are scalars."""
+    if batched:
+        return values
+    return values[0] if values.ndim > 1 else float(values[0])
+
+
+def expectation(obs, rho):
+    """tr(obs rho) for Hermitian obs; the imaginary part must vanish.
+
+    rho is one (d, d) matrix, giving a float, or a (T, d, d) stack, giving
+    a (T,) array; each entry is bitwise its scalar call.  A stack raises
+    the scalar call's error for its first failing matrix, named by index.
+    """
     obs = check_hermitian(obs)
-    rho = as_operator(rho)
-    check_same_dim(obs, rho)
-    val = np.trace(obs @ rho)
-    if not (abs(val.imag) <= EXPECTATION_IMAG_TOL):
-        raise NumericalConsistencyError(
-            f"expectation value has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    rho, batched = as_operator_stack(rho)
+    if obs.shape != rho.shape[1:]:
+        raise DimensionMismatchError(
+            f"dimension mismatch: {obs.shape} vs {rho.shape[1:]}")
+    finite = np.all(np.isfinite(rho), axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite matrix
+        val = np.trace(obs @ rho, axis1=-2, axis2=-1)
+    bad = ~(finite & (np.abs(val.imag) <= EXPECTATION_IMAG_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f" {k}" if batched else ""
+        if not finite[k]:
+            raise InvalidOperatorError(f"operator{where} has non-finite entries")
+        raise NumericalConsistencyError(f"expectation value of operator{where} "
+                                        f"has imaginary part {val.imag[k]:.3e}")
+    return unstack(val.real, batched)

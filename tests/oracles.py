@@ -193,6 +193,43 @@ def trajectory_states_loop(h0, v, t_grid, path, rho0, record_idx) -> np.ndarray:
     return out
 
 # ---------------------------------------------------------------------------
+# PCE read-out, one record at a time
+# ---------------------------------------------------------------------------
+
+def pce_curve_loop(h0, obs, coefficients, times, weight_norms) -> np.ndarray:
+    """Rows (mean, variance, trace error, hermiticity error, min eigenvalue)
+    of <obs> over the (N, d, d) chaos coefficients of each record, computed
+    one record at a time.
+
+    The mean state is U0(t) phi_0 U0(t)^dag, made Hermitian, with
+    U0(t) = I + P (exp(-i E t) - 1) P^dag from eigh(h0) = (E, P); the
+    variance is sum_{m != 0} weight_norms[m] tr(U0^dag obs U0 phi_m)^2; the
+    trace error is max_m |tr phi_m - delta_{m,0}| and the hermiticity
+    error max_m ||phi_m - phi_m^dag||_F.
+    """
+    energies, states = np.linalg.eigh(h0)
+    eye = np.eye(h0.shape[0])
+    rows = []
+    for coeffs, t in zip(coefficients, times):
+        phases = np.exp(-1j * np.multiply.outer(t, energies)) - 1.0
+        u0 = eye + (states * phases[None, :]) @ states.conj().T
+        rho = u0 @ coeffs[0] @ u0.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        obs_rot = u0.conj().T @ obs @ u0
+        values = np.einsum("ij,mji->m", obs_rot, coeffs).real
+        traces = np.einsum("...ii->...", coeffs)
+        traces[0] -= 1.0
+        dev = (coeffs - np.swapaxes(coeffs, -1, -2).conj()).reshape(len(coeffs), -1)
+        flat = dev.view(float)
+        rows.append((np.trace(obs @ rho).real,
+                     np.sum(weight_norms[1:] * values[1:] ** 2),
+                     np.max(np.abs(traces)),
+                     np.max(np.sqrt(np.einsum("...i,...i->...", flat, flat))),
+                     np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()))
+    return np.array(rows)
+
+
+# ---------------------------------------------------------------------------
 # Karhunen-Loeve mode quantities, one mode at a time
 # ---------------------------------------------------------------------------
 

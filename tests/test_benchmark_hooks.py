@@ -1,8 +1,9 @@
 """What the traced benchmark run (perfbench/spans.py) needs from the package.
 
-The benchmark wraps names that stochpce.cli imports, reads the coupling
-matrices propagate is given and counts 4 hierarchy._rhs calls per RK4 step;
-a refactor that breaks any of these would break the traced run without
+The benchmark wraps names that stochpce.cli imports, times the PCE read-out
+as the calls to its OBSERVABLES names, reads the coupling matrices
+propagate is given and counts 4 hierarchy._rhs calls per RK4 step; a
+refactor that breaks any of these would break the traced run without
 failing any other test.  This only reads perfbench/.
 """
 import importlib.util
@@ -26,6 +27,27 @@ from stochpce import (
 )
 from stochpce.config import RunConfig
 from stochpce.kle import select_modes, solve_fredholm
+
+RUN_FILE = """\
+[model]
+h0 = sx
+v = sz
+tau = 1.0
+
+[noise]
+alpha = 0.4
+tau_c = 10.0
+
+[kle]
+grid_size = 80
+candidate_modes = 6
+s = 2
+
+[pce]
+p = 3
+dt_max = 0.002
+output_points = 41
+"""
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "spans.py")
@@ -75,3 +97,20 @@ def test_propagate_makes_four_rhs_calls_per_rk4_step(monkeypatch):
               build_couplings(basis), t_grid, dt_max=1 / 80)
     assert load_spans().rk4_steps(list(t_grid), 1 / 80) == 3 * n_intervals
     assert len(calls) == 4 * 3 * n_intervals
+
+
+def test_pce_read_out_calls_each_observable_once(tmp_path):
+    """One pce command reads its curve out with one call per OBSERVABLES
+    name, all records at once, and the traced run times those calls as
+    hierarchy.observables_s."""
+    spans = load_spans()
+    config = tmp_path / "run.ini"
+    config.write_text(RUN_FILE)
+    tracer = spans.Tracer("hooks")
+    with spans.instrument(tracer), tracer.span("cli.main", "cli"):
+        assert cli.main(["pce", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 0
+    names = [span["name"] for span in tracer.spans]
+    assert {name: names.count(name) for name in spans.OBSERVABLES} == \
+        dict.fromkeys(spans.OBSERVABLES, 1)
+    assert spans.layer_metrics(tracer, tracer.spans)["hierarchy.observables_s"] > 0

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import stochpce
-from stochpce import cli, parse_config
+from oracles import pce_curve_loop
+from stochpce import cli, hierarchy, parse_config
 from stochpce.cli import main
+from stochpce.config import format_float, load_config
 
 TINY = """\
 [model]
@@ -154,6 +156,32 @@ class TestPCECommand:
         assert column(rows, columns, "obs_mean")[0] == pytest.approx(1.0)
         assert np.max(column(rows, columns, "trace_err")) <= 1e-8
         assert np.max(column(rows, columns, "herm_err")) <= 1e-8
+
+    def test_rows_equal_the_per_record_read_out(self, tmp_path, monkeypatch):
+        """The batched read-out writes the rows the per-record loop gives,
+        byte for byte, over more records than one read-out block."""
+        recorded, original = [], cli.propagate
+
+        def recording(*args, **kwargs):
+            recorded.append(original(*args, **kwargs))
+            return recorded[-1]
+
+        monkeypatch.setattr(cli, "propagate", recording)
+        cfg = write_config(tmp_path)
+        prefix = str(tmp_path / "out")
+        assert main(["pce", "--config", cfg, "--out", prefix]) == 0
+
+        config = load_config(cfg)
+        states = recorded[0]
+        assert len(states) > hierarchy.BLOCK_SIZE
+        rows = pce_curve_loop(config.build_model().h0, config.build_observable(),
+                              [st.coefficients for st in states],
+                              [st.t for st in states],
+                              states[0].basis.weight_norms)
+        expected = [",".join(format_float(x) for x in (st.t, *row))
+                    for st, row in zip(states, rows)]
+        _, _, written = read_csv(f"{prefix}_pce.csv")
+        assert [",".join(row) for row in written] == expected
 
     def test_zero_noise_curve_is_flat(self, tmp_path):
         cfg = write_config(tmp_path, TINY.replace("alpha = 0.4", "alpha = 0.0"))

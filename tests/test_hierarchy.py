@@ -18,6 +18,7 @@ from oracles import (
     galerkin_weight_quadrature,
     gauss_hermite_collocation_rk4,
     hermite_moment_tables,
+    pce_curve_loop,
     static_ensemble_sx,
 )
 from stochpce import (
@@ -27,12 +28,15 @@ from stochpce import (
     CapacityError,
     CorruptedStateError,
     DimensionMismatchError,
+    InvalidOperatorError,
     MultiIndexSet,
+    NumericalConsistencyError,
     OrnsteinUhlenbeckKernel,
     PropagationDivergedError,
     StochasticModel,
     build_couplings,
     enumerate_indices,
+    expectation,
     hierarchy,
     initial_pce_state,
     propagate,
@@ -860,9 +864,145 @@ class TestMoments:
         bad[0] = RHO_PLUS_X
         bad[0, 1, 1] = np.nan
         state = PCEState(coefficients=bad, t=0.0, basis=self.basis)
-        with pytest.raises(CorruptedStateError, match="nan"):
+        with pytest.raises(CorruptedStateError,
+                           match=r"^mean state trace \(nan\+nanj\) at t = 0\.0 "):
             mean_state(state, self.model)
+
+    def test_nan_higher_coefficient_rejected_by_variance(self):
+        """A NaN phi_m with m != 0 leaves the mean alone but not the
+        variance, which must not come out as a silent nan."""
+        bad = np.zeros((self.basis.size, 2, 2), dtype=complex)
+        bad[0] = RHO_PLUS_X
+        bad[2, 0, 1] = np.nan
+        state = PCEState(coefficients=bad, t=0.25, basis=self.basis)
+        with pytest.raises(CorruptedStateError, match=r"t = 0\.25 "):
+            observable_variance(state, SIGMA_X, self.model)
 
     def test_min_eigenvalue(self):
         assert min_eigenvalue(RHO_PLUS_X) == pytest.approx(0.0, abs=1e-12)
         assert min_eigenvalue(0.5 * IDENTITY) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_min_eigenvalue_rejects_non_finite(self, value):
+        """eigvalsh returns -0.0 for [[nan, 0], [0, 1]], which would pass
+        a NaN state as positive."""
+        with pytest.raises(CorruptedStateError, match="non-finite"):
+            min_eigenvalue([[value, 0], [0, 1]])
+
+
+def _fig2_case():
+    """The fig2 model (H = sx + Omega sz, C(t) = 9 exp(-|t|/10), s=3, p=9)
+    on 41 output times, more than two read-out blocks, observed by sx."""
+    model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+    basis = enumerate_indices(3, 9)
+    states = propagate(initial_pce_state(RHO_PLUS_X, basis), model,
+                       build_kle(model, 3), build_couplings(basis),
+                       np.linspace(0.0, 1.0, 41), dt_max=5e-3)
+    return states, model, SIGMA_X
+
+
+def _qutrit_case():
+    """The three-level model with a non-diagonal complex h0 (s=2, p=4) on
+    41 output times, observed by a complex non-diagonal observable."""
+    model = make_model(OrnsteinUhlenbeckKernel(1.0, 2.0), h0=H0_3, v=V_3)
+    basis = enumerate_indices(2, 4)
+    states = propagate(initial_pce_state(RHO_3, basis), model,
+                       build_kle(model, 2, grid_size=100), build_couplings(basis),
+                       np.linspace(0.0, 1.0, 41), dt_max=1e-2)
+    obs = np.array([[0.0, 1.0, 0.5j], [1.0, 0.3, 0.2], [-0.5j, 0.2, -1.0]])
+    return states, model, obs
+
+
+def _read_out(states, model, obs) -> dict:
+    rho = mean_state(states, model)
+    return {"mean_state": rho,
+            "observable_mean": observable_mean(states, obs, model),
+            "expectation": expectation(obs, rho),
+            "observable_variance": observable_variance(states, obs, model),
+            "trace_error": trace_error(states),
+            "hermiticity_error": hermiticity_error(states),
+            "min_eigenvalue": min_eigenvalue(rho)}
+
+
+@pytest.fixture(scope="module", params=[_fig2_case, _qutrit_case],
+                ids=["fig2", "qutrit"])
+def read_out_case(request):
+    return request.param()
+
+
+class TestBatchedReadout:
+    def test_batch_entries_are_bitwise_scalar_calls(self, read_out_case):
+        states, model, obs = read_out_case
+        batch = _read_out(states, model, obs)
+        d = states[0].dim
+        for name, values in batch.items():
+            expected_shape = (len(states), d, d) if name == "mean_state" else (len(states),)
+            assert values.shape == expected_shape, name
+        for k, state in enumerate(states):
+            single = _read_out(state, model, obs)
+            for name, value in single.items():
+                if name == "mean_state":
+                    assert value.shape == (d, d)
+                else:
+                    assert type(value) is float, name
+                assert np.asarray(value).tobytes() == batch[name][k].tobytes(), \
+                    (name, k)
+
+    def test_batch_matches_per_record_loop(self, read_out_case):
+        states, model, obs = read_out_case
+        batch = _read_out(states, model, obs)
+        got = np.stack([batch[name] for name in (
+            "observable_mean", "observable_variance", "trace_error",
+            "hermiticity_error", "min_eigenvalue")], axis=1)
+        expected = pce_curve_loop(model.h0, obs, [st.coefficients for st in states],
+                                  [st.t for st in states],
+                                  states[0].basis.weight_norms)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("corruption", ["trace", "nan"])
+    def test_batch_names_first_corrupted_record(self, read_out_case, corruption):
+        """Records 5 and 23 are both corrupted; the error names record 5."""
+        states, model, obs = read_out_case
+        states = list(states)
+        for k in (5, 23):
+            coeffs = states[k].coefficients.copy()
+            if corruption == "trace":
+                coeffs[0] *= 0.9
+            else:
+                coeffs[0, 1, 1] = np.nan
+                coeffs[3, 0, 1] = np.nan
+            states[k] = PCEState(coefficients=coeffs, t=states[k].t,
+                                 basis=states[k].basis)
+        named = re.escape(f"t = {states[5].t!r} ")
+        with pytest.raises(CorruptedStateError, match=named):
+            mean_state(states, model)
+        with pytest.raises(CorruptedStateError, match=named):
+            observable_mean(states, obs, model)
+        if corruption == "nan":
+            with pytest.raises(CorruptedStateError, match=named):
+                observable_variance(states, obs, model)
+            stack = np.stack([st.coefficients[0] for st in states])
+            with pytest.raises(CorruptedStateError, match="^matrix 5 "):
+                min_eigenvalue(stack)
+
+    def test_expectation_names_first_failing_matrix(self):
+        rho = np.stack([RHO_PLUS_X] * 20)
+        rho[7, 0, 1] += 1e-6j
+        rho[12, 0, 1] += 1e-6j
+        with pytest.raises(NumericalConsistencyError, match="operator 7 "):
+            expectation(SIGMA_X, rho)
+        with pytest.raises(NumericalConsistencyError,
+                           match="^expectation value of operator has"):
+            expectation(SIGMA_X, rho[7])
+        rho[3, 1, 1] = np.inf
+        with pytest.raises(InvalidOperatorError, match="^operator 3 has non-finite"):
+            expectation(SIGMA_X, rho)
+
+    def test_batch_of_mixed_bases_rejected(self):
+        """Two sets of the same size: the weights of one are wrong for the
+        other's coefficients."""
+        other = MultiIndexSet(((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (0, 3)))
+        states = [initial_pce_state(RHO_PLUS_X, basis)
+                  for basis in (enumerate_indices(2, 2), other)]
+        with pytest.raises(DimensionMismatchError, match="different bases"):
+            trace_error(states)
