@@ -44,6 +44,7 @@ from .kle import (
     TruncatedKLE,
     cumulative_rates,
     default_candidate_count,
+    ou_modes,
     select_modes,
     solve_fredholm,
 )
@@ -79,8 +80,8 @@ __all__ = [
     "validate_density_matrix",
     # kle
     "OrnsteinUhlenbeckKernel", "TabulatedKernel", "QuadratureGrid", "KLMode",
-    "TruncatedKLE", "ModeRecord", "solve_fredholm", "cumulative_rates",
-    "select_modes", "default_candidate_count",
+    "TruncatedKLE", "ModeRecord", "solve_fredholm", "ou_modes",
+    "cumulative_rates", "select_modes", "default_candidate_count",
     # hierarchy
     "MultiIndexSet", "GalerkinCouplings", "PCEState", "enumerate_indices",
     "build_couplings", "initial_pce_state", "propagate",

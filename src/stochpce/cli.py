@@ -34,7 +34,13 @@ from .hierarchy import (
     propagate,
     trace_error,
 )
-from .kle import cumulative_rates, select_modes, solve_fredholm
+from .kle import (
+    OrnsteinUhlenbeckKernel,
+    cumulative_rates,
+    ou_modes,
+    select_modes,
+    solve_fredholm,
+)
 from .montecarlo import mc_average
 from .operators import expectation
 
@@ -111,10 +117,12 @@ def _write_csv(path: str, stable_comments, volatile_comments, columns, rows):
 
 
 def _solve_modes(config: RunConfig, model):
-    """All candidate modes and their ranking rates: one Fredholm solve."""
-    modes = solve_fredholm(model.kernel, config.model.tau,
-                           grid_size=config.kle.grid_size,
-                           n_modes=config.kle.candidate_modes)
+    """All candidate modes and their ranking rates: one eigenproblem solve,
+    in closed form for OU noise and by Nystrom otherwise."""
+    ou = isinstance(model.kernel, OrnsteinUhlenbeckKernel)
+    modes = (ou_modes if ou else solve_fredholm)(
+        model.kernel, config.model.tau, grid_size=config.kle.grid_size,
+        n_modes=config.kle.candidate_modes)
     rates = cumulative_rates(modes, model)
     return modes, rates
 
@@ -163,12 +171,21 @@ def _cmd_kle(config: RunConfig, prefix: str, _allow_unconverged: bool) -> int:
     header = _header(config, "kle")
     volatile = [f"generated: {_timestamp()}"]
 
+    grid = modes[0].grid
+    modes_header = list(header)
+    if isinstance(model.kernel, OrnsteinUhlenbeckKernel):
+        total = model.kernel.variance * config.model.tau
+        captured = sum(mode.eigenvalue for mode in kle.modes)
+        modes_header.append("mode_source: closed-form OU")
+        modes_header.append("variance_captured: " + format_float(
+            captured / total if total > 0 else float("nan")))
+    else:
+        modes_header.append(f"mode_source: Nystrom, {grid.size} nodes")
     rows = [(rec.index, rec.eigenvalue, rec.rate, int(rec.selected))
             for rec in kle.selection_report]
-    _write_csv(f"{prefix}_modes.csv", header, volatile,
+    _write_csv(f"{prefix}_modes.csv", modes_header, volatile,
                ["index", "lambda", "gamma", "selected"], rows)
 
-    grid = modes[0].grid
     columns = ["t"] + [f"g{mode.index}" for mode in modes]
     sample_rows = [
         (grid.nodes[k], *(mode.values[k] for mode in modes))

@@ -1,21 +1,28 @@
 """Karhunen-Loeve decomposition of stationary Gaussian noise.
 
-Solves the Fredholm eigenproblem
+Finds the eigenpairs of the Fredholm problem
 
-    integral_0^tau C(t1, t2) g_n(t2) dt2 = lambda_n g_n(t1)
+    integral_0^tau C(t1, t2) g_n(t2) dt2 = lambda_n g_n(t1).
 
-by Nystrom discretization on a uniform trapezoid grid, ranks the modes by
-their perturbation-theoretic transition rates against a driven system
+For an Ornstein-Uhlenbeck kernel they are known in closed form (ou_modes):
+cosines and sines whose frequencies solve a transcendental equation, found
+here by bisection.  Any other kernel goes through a Nystrom discretization on
+a uniform trapezoid grid (solve_fredholm).  Both return modes sampled on the
+same trapezoid grid.  The module then ranks the modes by their
+perturbation-theoretic transition rates against a driven system
 (cumulative_rates), selects the modes that matter most for the dynamics
 (select_modes), and evaluates the retained modes between grid nodes as the
-rows sqrt(lambda_n) g_n(t) the propagators consume (scaled_modes_matrix).
+rows sqrt(lambda_n) g_n(t) the propagators consume (scaled_modes_matrix):
+from the closed form when a mode has one, by Nystrom extension otherwise.
 Each of these acts on all modes at once: h0's eigensystem, the phase
 factors and the kernel matrix are built once per call, not once per mode.
 
 Conventions:
-  - eigenfunctions are L2-normalized on the quadrature grid
-    (sum_k w_k g(t_k)^2 = 1) with sign fixed so sum_k w_k g(t_k) >= 0
-    (falling back to g(t_0) >= 0 when that sum vanishes);
+  - eigenfunctions are L2-normalized (sum_k w_k g(t_k)^2 = 1 on the
+    quadrature grid for Nystrom modes; exactly, checked by composite
+    Gauss-Legendre quadrature, for closed-form modes) with sign fixed so
+    sum_k w_k g(t_k) >= 0 on the grid (falling back to g(t_0) >= 0 when
+    that sum vanishes);
   - eigenvalues in [-1e-6 * lambda_max, 0) are roundoff and clamped to
     zero; anything lower means an indefinite kernel and raises
     KernelNotPositiveError;
@@ -23,7 +30,8 @@ Conventions:
     it gets a zero row in scaled_modes_matrix and a negligible rate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -39,6 +47,11 @@ ORTHOGONALITY_TOL = 1e-6
 SIGN_SUM_TOL = 1e-12
 HARD_NEGATIVE_THRESHOLD = -1e-6
 NULL_MODE_THRESHOLD = 1e-12
+# Composite Gauss-Legendre rule for closed-form modes: PANEL_NODES nodes per
+# panel and at most PANEL_PHASE radians of the highest frequency per panel,
+# so products of two modes are integrated to rounding error.
+PANEL_NODES = 16
+PANEL_PHASE = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,12 +162,54 @@ class QuadratureGrid:
 
 
 @dataclass(frozen=True, eq=False)
+class ClosedForm:
+    """g(t) = amplitude * cos(frequency * (t - centre)) for an even mode,
+    amplitude * sin(frequency * (t - centre)) for an odd one."""
+
+    frequency: float
+    even: bool
+    amplitude: float
+    centre: float
+
+    def __call__(self, times) -> np.ndarray:
+        phase = self.frequency * (np.asarray(times, dtype=float) - self.centre)
+        return self.amplitude * (np.cos(phase) if self.even else np.sin(phase))
+
+
+@cache
+def _legendre_panel() -> tuple:
+    """PANEL_NODES-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
+    nodes.setflags(write=False); weights.setflags(write=False)
+    return nodes, weights
+
+
+def _legendre_rule(grid: QuadratureGrid, frequency: float) -> tuple:
+    """Composite Gauss-Legendre nodes and weights on the grid's interval that
+    integrate products of modes up to the given frequency to rounding error;
+    the node count grows with the frequency."""
+    if not np.isfinite(frequency):
+        raise NumericalConsistencyError(
+            f"mode frequency {frequency!r} is not finite")
+    start, span = grid.nodes[0], grid.span
+    panels = max(1, int(np.ceil(frequency * span / PANEL_PHASE)))
+    width = span / panels
+    unit_nodes, unit_weights = _legendre_panel()
+    nodes = ((start + width * np.arange(panels))[:, None]
+             + (width / 2) * (unit_nodes + 1))
+    weights = np.broadcast_to((width / 2) * unit_weights, nodes.shape)
+    return nodes.ravel(), weights.ravel()
+
+
+@dataclass(frozen=True, eq=False)
 class KLMode:
     """One Karhunen-Loeve eigenpair sampled on a quadrature grid.
 
     index is the 1-based rank by descending eigenvalue within its solve;
     lambda_max is the largest eigenvalue of that solve, kept so the
-    null-mode predicate needs no external context.
+    null-mode predicate needs no external context.  closed_form, when set,
+    is the exact eigenfunction the samples come from; it is normalized
+    exactly rather than on the grid.
     """
 
     eigenvalue: float
@@ -162,6 +217,7 @@ class KLMode:
     grid: QuadratureGrid
     index: int
     lambda_max: float
+    closed_form: ClosedForm | None = None
 
     def __post_init__(self):
         if self.eigenvalue < 0:
@@ -169,16 +225,38 @@ class KLMode:
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.nodes.shape:
             raise DimensionMismatchError("mode values do not match the grid")
-        norm = float(np.sum(self.grid.weights * values**2))
+        if self.closed_form is None:
+            norm = float(np.sum(self.grid.weights * values**2))
+        else:
+            nodes, weights = _legendre_rule(self.grid, self.closed_form.frequency)
+            norm = float(np.sum(weights * self.closed_form(nodes) ** 2))
         if not (abs(norm - 1.0) <= NORMALIZATION_TOL):
             raise NumericalConsistencyError(
-                f"mode not L2-normalized: sum w g^2 = {norm!r}")
+                f"mode not L2-normalized: integral g^2 = {norm!r}")
         values = values.copy(); values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def is_null(self) -> bool:
         """True when the eigenvalue is numerically zero for its solve."""
         return self.eigenvalue <= NULL_MODE_THRESHOLD * max(self.lambda_max, 0.0)
+
+
+def _sign(grid: QuadratureGrid, g: np.ndarray) -> float:
+    """+1 or -1, so that sign * g has sum_k w_k g(t_k) >= 0, or g(t_0) >= 0
+    when that sum vanishes."""
+    total = float(np.sum(grid.weights * g))
+    if total < -SIGN_SUM_TOL or (abs(total) <= SIGN_SUM_TOL and g[0] < 0):
+        return -1.0
+    return 1.0
+
+
+def _check_mode_count(grid_size: int, n_modes: int | None) -> int:
+    """n_modes, defaulting to grid_size; it must lie in [1, grid_size]."""
+    if n_modes is None:
+        n_modes = grid_size
+    if not 1 <= n_modes <= grid_size:
+        raise ValueError(f"n_modes must be in [1, grid_size], got {n_modes}")
+    return n_modes
 
 
 def solve_fredholm(kernel, tau: float, grid_size: int = 400,
@@ -193,10 +271,7 @@ def solve_fredholm(kernel, tau: float, grid_size: int = 400,
     Eigenvalues in [-1e-6 * lambda_max, 0) are clamped to zero; anything
     lower raises KernelNotPositiveError.
     """
-    if n_modes is None:
-        n_modes = grid_size
-    if not 1 <= n_modes <= grid_size:
-        raise ValueError(f"n_modes must be in [1, grid_size], got {n_modes}")
+    n_modes = _check_mode_count(grid_size, n_modes)
     grid = QuadratureGrid.trapezoid(tau, grid_size)
     t = grid.nodes
     k_matrix = kernel.at_lag(np.abs(t[:, None] - t[None, :]))
@@ -218,13 +293,65 @@ def solve_fredholm(kernel, tau: float, grid_size: int = 400,
     modes = []
     for rank in range(n_modes):
         g = vectors[:, rank] / sqrt_w
-        total = float(np.sum(grid.weights * g))
-        if total < -SIGN_SUM_TOL:
-            g = -g
-        elif abs(total) <= SIGN_SUM_TOL and g[0] < 0:
-            g = -g
-        modes.append(KLMode(eigenvalue=float(eigenvalues[rank]), values=g,
+        modes.append(KLMode(eigenvalue=float(eigenvalues[rank]),
+                            values=_sign(grid, g) * g,
                             grid=grid, index=rank + 1, lambda_max=lam_max))
+    return modes
+
+
+def _ou_residual(w, even, a: float, c: float) -> np.ndarray:
+    """c cos(wa) - w sin(wa) for even modes, w cos(wa) + c sin(wa) for odd
+    ones: zero at the frequencies of the OU eigenfunctions."""
+    cos, sin = np.cos(w * a), np.sin(w * a)
+    return np.where(even, c * cos - w * sin, w * cos + c * sin)
+
+
+def ou_modes(kernel, tau: float, grid_size: int = 400,
+             n_modes: int | None = None) -> list[KLMode]:
+    """Closed-form Karhunen-Loeve eigenpairs of an Ornstein-Uhlenbeck kernel.
+
+    With the interval centred at a = tau/2 and c = 1/tau_c, the mode of
+    0-based rank r has one frequency w in (r pi/tau, (r+1) pi/tau): even r
+    gives cos(w (t - a)) with c cos(wa) - w sin(wa) = 0, odd r gives
+    sin(w (t - a)) with w cos(wa) + c sin(wa) = 0 (Ghanem & Spanos,
+    Stochastic Finite Elements, 1991, sec. 2.3).  The brackets hold no pole,
+    so one vectorized bisection finds every root, halving until no bracket
+    can shrink further.  The eigenvalue is 2 c alpha^2 / (w^2 + c^2),
+    decreasing in r, and the squared L2 norm is a + sin(2wa)/(2w) (even) or
+    a - sin(2wa)/(2w) (odd).
+
+    Takes and returns what solve_fredholm does: the top n_modes (default
+    grid_size) sampled on the same trapezoid grid with the same sign
+    convention, each also carrying its ClosedForm.
+    """
+    n_modes = _check_mode_count(grid_size, n_modes)
+    grid = QuadratureGrid.trapezoid(tau, grid_size)
+    a, c = 0.5 * tau, 1.0 / kernel.tau_c
+    rank = np.arange(n_modes)
+    even = rank % 2 == 0
+    lo, hi = rank * np.pi / tau, (rank + 1) * np.pi / tau
+    lo_residual = _ou_residual(lo, even, a, c)
+    while True:
+        w = 0.5 * (lo + hi)
+        if not np.any((lo < w) & (w < hi)):
+            break
+        below = _ou_residual(w, even, a, c) * lo_residual > 0
+        lo = np.where(below, w, lo)
+        hi = np.where(below, hi, w)
+
+    eigenvalues = 2.0 * c * kernel.variance / (w**2 + c**2)
+    parity = np.where(even, 1.0, -1.0)
+    amplitudes = 1.0 / np.sqrt(a + parity * np.sin(2 * w * a) / (2 * w))
+    lam_max = float(eigenvalues[0])
+    modes = []
+    for r in range(n_modes):
+        form = ClosedForm(frequency=float(w[r]), even=bool(even[r]),
+                          amplitude=float(amplitudes[r]), centre=a)
+        form = replace(form, amplitude=_sign(grid, form(grid.nodes))
+                       * form.amplitude)
+        modes.append(KLMode(eigenvalue=float(eigenvalues[r]),
+                            values=form(grid.nodes), grid=grid, index=r + 1,
+                            lambda_max=lam_max, closed_form=form))
     return modes
 
 
@@ -241,21 +368,25 @@ def _shared_grid(modes) -> QuadratureGrid:
 def scaled_modes_matrix(modes, kernel, times) -> np.ndarray:
     """Rows of sqrt(lambda_n) g_n(t) over the given times; null modes give zero rows.
 
-    g_n(t) is the Nystrom extension (1/lambda_n) sum_k w_k C(t, t_k) g_n(t_k),
-    exact at the grid nodes and smooth in between.  This is the quantity the
-    propagators consume, and it is well defined for every mode: sqrt(lambda) g(t)
-    tends to zero as lambda does, so null modes contribute nothing.  The kernel
+    Modes with a closed form are evaluated from it.  Otherwise g_n(t) is the
+    Nystrom extension (1/lambda_n) sum_k w_k C(t, t_k) g_n(t_k), exact at the
+    grid nodes and smooth in between.  This is the quantity the propagators
+    consume, and it is well defined for every mode: sqrt(lambda) g(t) tends
+    to zero as lambda does, so null modes contribute nothing.  The kernel
     matrix C(t, t_k) is built once; each row stays its own matrix-vector
     product, because one matrix-matrix product differs in the last bits.
     """
     grid = _shared_grid(modes)
     times = np.asarray(times, dtype=float)
+    out = np.zeros((len(modes), times.size))
+    live = [(row, mode) for row, mode in enumerate(modes) if not mode.is_null()]
+    if all(mode.closed_form is not None for mode in modes):
+        for row, mode in live:
+            out[row] = np.sqrt(mode.eigenvalue) * mode.closed_form(times)
+        return out
     kernel_matrix = kernel.at_lag(np.abs(np.atleast_1d(times)[:, None]
                                          - grid.nodes[None, :]))
-    out = np.zeros((len(modes), times.size))
-    for row, mode in enumerate(modes):
-        if mode.is_null():
-            continue
+    for row, mode in live:
         extension = kernel_matrix @ (grid.weights * mode.values) / mode.eigenvalue
         out[row] = np.sqrt(mode.eigenvalue) * extension
     return out
@@ -316,7 +447,8 @@ def select_modes(modes, rates, s: int) -> TruncatedKLE:
 
     Ties break toward larger eigenvalue, then lower mode index, so the
     selection is deterministic.  Retained modes must be pairwise
-    L2-orthogonal on their shared grid.
+    L2-orthogonal: exactly when they have a closed form, on their shared
+    grid otherwise.
     """
     modes = list(modes)
     rates = [float(r) for r in rates]
@@ -330,8 +462,15 @@ def select_modes(modes, rates, s: int) -> TruncatedKLE:
     chosen_set = set(chosen)
 
     grid = _shared_grid(modes)
-    kept = np.stack([modes[i].values for i in chosen])
-    overlaps = np.triu((kept * grid.weights) @ kept.T, k=1)
+    kept = [modes[i] for i in chosen]
+    if all(mode.closed_form is not None for mode in kept):
+        frequency = np.max([mode.closed_form.frequency for mode in kept])
+        nodes, weights = _legendre_rule(grid, frequency)
+        samples = np.stack([mode.closed_form(nodes) for mode in kept])
+    else:
+        weights = grid.weights
+        samples = np.stack([mode.values for mode in kept])
+    overlaps = np.triu((samples * weights) @ samples.T, k=1)
     bad = np.argwhere(~(np.abs(overlaps) <= ORTHOGONALITY_TOL))
     if bad.size:
         a_pos, b_pos = bad[0]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import stochpce
-from oracles import pce_curve_loop
-from stochpce import cli, hierarchy, parse_config
+from oracles import nystrom_row_loop, pce_curve_loop
+from stochpce import OrnsteinUhlenbeckKernel, cli, hierarchy, parse_config
 from stochpce.cli import main
 from stochpce.config import format_float, load_config
 
@@ -83,6 +83,26 @@ def column(rows, columns, name, dtype=float):
     return np.array([dtype(row[k]) for row in rows])
 
 
+def count_calls(monkeypatch, names):
+    """Record, in order, each call stochpce.cli makes to the named functions."""
+    calls = []
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+def write_tabulated_config(tmp_path, text=TINY):
+    """The run file with its OU noise replaced by the same kernel tabulated."""
+    lags = 0.1 * np.arange(30)
+    np.savetxt(tmp_path / "tab.txt", 0.16 * np.exp(-lags / 10.0))
+    return write_config(tmp_path, text.replace(
+        "alpha = 0.4\ntau_c = 10.0",
+        f"kind = tabulated\ntable = {tmp_path / 'tab.txt'}\nspacing = 0.1"))
+
+
 class TestKLECommand:
     def test_writes_mode_report_and_eigenfunctions(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -102,6 +122,26 @@ class TestKLECommand:
         _, gcolumns, grows = read_csv(f"{prefix}_eigenfunctions.csv")
         assert gcolumns == ["t", "g1", "g2", "g3", "g4", "g5", "g6"]
         assert len(grows) == 80  # one row per quadrature node
+
+    def test_modes_header_states_source_and_captured_variance(self, tmp_path):
+        cfg = write_config(tmp_path)
+        prefix = str(tmp_path / "out")
+        assert main(["kle", "--config", cfg, "--out", prefix]) == 0
+        comments, columns, rows = read_csv(f"{prefix}_modes.csv")
+        assert "mode_source: closed-form OU" in comments
+        [line] = [c for c in comments if c.startswith("variance_captured: ")]
+        kept = column(rows, columns, "selected", int) == 1
+        captured = column(rows, columns, "lambda")[kept].sum() / (0.4**2 * 1.0)
+        assert float(line.split(": ")[1]) == pytest.approx(captured, rel=1e-12)
+        eig_comments, _, _ = read_csv(f"{prefix}_eigenfunctions.csv")
+        assert not any(c.startswith(("mode_source", "variance_captured"))
+                       for c in eig_comments)
+
+        cfg = write_tabulated_config(tmp_path)
+        assert main(["kle", "--config", cfg, "--out", prefix]) == 0
+        comments, _, _ = read_csv(f"{prefix}_modes.csv")
+        assert "mode_source: Nystrom, 80 nodes" in comments
+        assert not any(c.startswith("variance_captured") for c in comments)
 
     def test_header_echo_reproduces_config(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -182,6 +222,39 @@ class TestPCECommand:
                     for st, row in zip(states, rows)]
         _, _, written = read_csv(f"{prefix}_pce.csv")
         assert [",".join(row) for row in written] == expected
+
+    def test_ou_run_does_no_nystrom_work(self, tmp_path, monkeypatch):
+        """OU modes come in closed form: no Fredholm solve, and no kernel
+        evaluation, which a Nystrom extension in scaled_modes_matrix needs."""
+        calls = count_calls(monkeypatch, ("solve_fredholm",))
+        lags, original = [], OrnsteinUhlenbeckKernel.at_lag
+
+        def recording(kernel, lag):
+            lags.append(np.shape(lag))
+            return original(kernel, lag)
+
+        monkeypatch.setattr(OrnsteinUhlenbeckKernel, "at_lag", recording)
+        cfg = write_config(tmp_path)
+        assert main(["pce", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [] and lags == []
+
+    def test_tabulated_run_keeps_the_nystrom_extension(self, tmp_path,
+                                                       monkeypatch):
+        """A tabulated kernel's CSV is byte for byte the one the per-mode
+        Nystrom extension gives."""
+        cfg = write_tabulated_config(tmp_path)
+        assert main(["pce", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+
+        def per_mode_extension(modes, kernel, times):
+            grid = modes[0].grid
+            return np.stack([nystrom_row_loop(kernel, m.eigenvalue, m.values,
+                                              grid.nodes, grid.weights, times)
+                             for m in modes])
+
+        monkeypatch.setattr(hierarchy, "scaled_modes_matrix", per_mode_extension)
+        assert main(["pce", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert stable_bytes(tmp_path / "a_pce.csv") == \
+            stable_bytes(tmp_path / "b_pce.csv")
 
     def test_zero_noise_curve_is_flat(self, tmp_path):
         cfg = write_config(tmp_path, TINY.replace("alpha = 0.4", "alpha = 0.0"))
@@ -294,19 +367,25 @@ class TestCompareCommand:
     def test_one_kle_solve_per_command(self, tmp_path, monkeypatch, command,
                                        sampler, solves):
         """The PCE curve and the KLE-path Monte Carlo sampler share one
-        Fredholm solve and one rate ranking."""
-        calls = []
-        for name in ("solve_fredholm", "cumulative_rates"):
-            def counting(*args, _name=name, _original=getattr(cli, name),
-                         **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(cli, name, counting)
+        eigenproblem solve, in closed form for OU noise, and one rate
+        ranking."""
+        calls = count_calls(monkeypatch, ("ou_modes", "solve_fredholm",
+                                          "cumulative_rates"))
         text = TINY.replace("seed = 777", f"seed = 777\nsampler = {sampler}")
         cfg = write_config(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                      "--allow-unconverged"]) == 0
-        assert calls == ["solve_fredholm", "cumulative_rates"] * solves
+        assert calls == ["ou_modes", "cumulative_rates"] * solves
+
+    def test_one_nystrom_solve_for_a_tabulated_kernel(self, tmp_path,
+                                                      monkeypatch):
+        calls = count_calls(monkeypatch, ("ou_modes", "solve_fredholm",
+                                          "cumulative_rates"))
+        cfg = write_tabulated_config(tmp_path, TINY.replace(
+            "seed = 777", "seed = 777\nsampler = kle"))
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--allow-unconverged"]) == 0
+        assert calls == ["solve_fredholm", "cumulative_rates"]
 
 
 class TestSweepCommand:
@@ -457,8 +536,10 @@ class TestEntryPoint:
 
     def test_cli_import_loads_no_heavy_scipy_subpackage(self):
         """Start-up cost: importing the CLI pulls in scipy.sparse only, not
-        scipy.signal (nor the scipy.stats / scipy.interpolate it imports)."""
-        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+        scipy.signal (nor the scipy.stats / scipy.interpolate it imports),
+        nor scipy.optimize, which the closed-form OU modes do without."""
+        heavy = ("scipy.optimize", "scipy.signal", "scipy.stats",
+                 "scipy.interpolate")
         probe = ("import sys\nimport stochpce.cli\n"
                  f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,

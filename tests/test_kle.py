@@ -1,4 +1,7 @@
-"""Karhunen-Loeve decomposition: kernels, Fredholm solve, mode selection."""
+"""Karhunen-Loeve decomposition: kernels, Fredholm solve, closed-form OU
+modes, mode selection."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,10 +22,13 @@ from stochpce import (
     StochasticModel,
     TabulatedKernel,
     TruncatedKLE,
+    ou_modes,
     select_modes,
     solve_fredholm,
 )
 from stochpce.kle import (
+    ORTHOGONALITY_TOL,
+    KLMode,
     QuadratureGrid,
     cumulative_rates,
     default_candidate_count,
@@ -209,6 +215,151 @@ class TestModeEvaluation:
         assert scaled.shape == (4, 7)
         np.testing.assert_allclose(scaled[0], 1.0, atol=1e-9)
         np.testing.assert_allclose(scaled[1:], 0.0, atol=0)
+
+
+# (alpha, tau_c, tau) of the fig2 and fig1_top presets
+FIG2 = (3.0, 10.0, 1.0)
+FIG1_TOP = (1.0, 0.1, 1.0)
+
+
+class TestClosedFormOU:
+    @pytest.mark.parametrize("tau_c", [0.1, 10.0])
+    def test_eigenvalues_match_transcendental_roots(self, tau_c):
+        modes = ou_modes(OrnsteinUhlenbeckKernel(1.0, tau_c), tau=1.0,
+                         grid_size=400, n_modes=8)
+        numeric = np.array([m.eigenvalue for m in modes])
+        np.testing.assert_allclose(
+            numeric, ou_kle_eigenvalues(1.0, tau_c, 1.0, 8), rtol=1e-12, atol=0)
+        assert [m.index for m in modes] == list(range(1, 9))
+        assert all(m.lambda_max == numeric[0] for m in modes)
+
+    def test_nystrom_converges_at_second_order(self):
+        """The trapezoid Nystrom eigenvalues approach the closed form as h^2:
+        four times the nodes, sixteen times smaller errors."""
+        kernel = OrnsteinUhlenbeckKernel(*FIG2[:2])
+        exact = np.array([m.eigenvalue for m in ou_modes(kernel, 1.0, 400, 8)])
+        errors = [np.abs(np.array([m.eigenvalue for m in
+                                   solve_fredholm(kernel, 1.0, nodes, 8)])
+                         - exact) for nodes in (400, 1600)]
+        assert np.all(errors[0] >= 12 * errors[1])
+
+    @pytest.mark.parametrize("params", [FIG2, FIG1_TOP], ids=["fig2", "fig1_top"])
+    def test_matches_nystrom_modes_and_signs(self, params):
+        """Every candidate mode of the preset has the Nystrom mode's sign and,
+        within the Nystrom error, its samples."""
+        alpha, tau_c, tau = params
+        kernel = OrnsteinUhlenbeckKernel(alpha, tau_c)
+        closed = ou_modes(kernel, tau, 400, 12)
+        nystrom = solve_fredholm(kernel, tau, 400, 12)
+        for a, b in zip(closed, nystrom):
+            assert a.grid.size == b.grid.size
+            np.testing.assert_allclose(a.grid.nodes, b.grid.nodes, rtol=0, atol=0)
+            assert np.max(np.abs(a.values - b.values)) < 1e-3
+            assert a.eigenvalue == pytest.approx(b.eigenvalue, rel=1e-3)
+
+    def test_samples_are_the_closed_form(self):
+        alpha, tau_c, tau = FIG1_TOP
+        kernel = OrnsteinUhlenbeckKernel(alpha, tau_c)
+        modes = ou_modes(kernel, tau, 400, 12)
+        for rank, mode in enumerate(modes):
+            form = mode.closed_form
+            assert form.even == (rank % 2 == 0)
+            assert form.centre == tau / 2
+            assert rank * np.pi / tau < form.frequency < (rank + 1) * np.pi / tau
+            np.testing.assert_array_equal(mode.values, form(mode.grid.nodes))
+
+    def test_scaled_matrix_is_the_closed_form(self):
+        """sqrt(lambda) g(t) from the closed form, with no kernel evaluation:
+        at the grid nodes it is the scaled samples."""
+        class NoKernel:
+            def at_lag(self, lag):
+                raise AssertionError("closed-form modes evaluated the kernel")
+
+        modes = ou_modes(OrnsteinUhlenbeckKernel(*FIG2[:2]), 1.0, 400, 12)
+        nodes = modes[0].grid.nodes
+        np.testing.assert_allclose(
+            scaled_modes_matrix(modes, NoKernel(), nodes),
+            [np.sqrt(m.eigenvalue) * m.values for m in modes], rtol=0, atol=1e-14)
+        times = np.linspace(0.0, 1.0, 301)
+        scaled = scaled_modes_matrix(modes, NoKernel(), times)
+        for row, mode in zip(scaled, modes):
+            np.testing.assert_array_equal(
+                row, np.sqrt(mode.eigenvalue) * mode.closed_form(times))
+
+    def test_zero_amplitude_gives_null_modes_like_nystrom(self):
+        kernel = OrnsteinUhlenbeckKernel(0.0, 1.0)
+        times = np.linspace(0.0, 1.0, 7)
+        for build in (ou_modes, solve_fredholm):
+            modes = build(kernel, 1.0, 60, 4)
+            assert all(m.is_null() for m in modes)
+            np.testing.assert_array_equal(
+                scaled_modes_matrix(modes, kernel, times), np.zeros((4, 7)))
+
+    def test_all_grid_modes_pass_the_exact_checks(self):
+        """n_modes defaults to grid_size, up to frequencies near 400 pi; the
+        normalization check's quadrature grows with the frequency."""
+        modes = ou_modes(OrnsteinUhlenbeckKernel(*FIG2[:2]), 1.0, 400)
+        assert len(modes) == 400
+        assert modes[-1].closed_form.frequency > 399 * np.pi
+        select_modes(modes, [m.eigenvalue for m in modes], 400)
+
+    def test_orthogonality_is_checked_in_the_exact_norm(self):
+        """On the trapezoid grid the exact fig1_top modes overlap by more than
+        the tolerance; select_modes checks them where they are orthogonal."""
+        alpha, tau_c, tau = FIG1_TOP
+        modes = ou_modes(OrnsteinUhlenbeckKernel(alpha, tau_c), tau, 400, 12)
+        samples = np.stack([m.values for m in modes])
+        grid_gram = (samples * modes[0].grid.weights) @ samples.T
+        assert np.max(np.abs(np.triu(grid_gram, k=1))) > ORTHOGONALITY_TOL
+        kle = select_modes(modes, [m.eigenvalue for m in modes], 12)
+        assert kle.stochastic_dim == 12
+
+    def test_rejects_bad_mode_count(self):
+        with pytest.raises(ValueError):
+            ou_modes(OrnsteinUhlenbeckKernel(1.0, 1.0), tau=1.0, grid_size=50,
+                     n_modes=51)
+
+
+class TestClosedFormChecks:
+    """The normalization and orthogonality checks catch a wrong closed form."""
+
+    def setup_method(self):
+        self.modes = ou_modes(OrnsteinUhlenbeckKernel(*FIG2[:2]), 1.0, 400, 3)
+
+    @staticmethod
+    def with_form(mode, form):
+        return KLMode(eigenvalue=mode.eigenvalue, values=form(mode.grid.nodes),
+                      grid=mode.grid, index=mode.index,
+                      lambda_max=mode.lambda_max, closed_form=form)
+
+    def test_wrong_amplitude_fails_normalization(self):
+        mode = self.modes[2]
+        form = replace(mode.closed_form, amplitude=1.001 * mode.closed_form.amplitude)
+        with pytest.raises(NumericalConsistencyError, match="normalized"):
+            self.with_form(mode, form)
+
+    def test_frequency_off_its_root_fails_orthogonality(self):
+        """A frequency nudged off its root, with its amplitude renormalized,
+        gives a unit-norm mode that is no longer orthogonal to mode 1."""
+        mode = self.modes[2]
+        a = mode.closed_form.centre
+        w = mode.closed_form.frequency * (1 + 1e-4)
+        nudged = self.with_form(mode, replace(
+            mode.closed_form, frequency=w,
+            amplitude=1.0 / np.sqrt(a + np.sin(2 * w * a) / (2 * w))))
+        select_modes(self.modes, [3.0, 2.0, 1.0], 3)
+        with pytest.raises(NumericalConsistencyError, match="not orthogonal"):
+            select_modes(self.modes[:2] + [nudged], [3.0, 2.0, 1.0], 3)
+
+    def test_nan_frequency_fails_both_checks(self):
+        mode = self.modes[2]
+        bad = replace(mode.closed_form, frequency=float("nan"))
+        with pytest.raises(NumericalConsistencyError):
+            self.with_form(mode, bad)
+        # a mode that skipped construction is still caught at selection
+        object.__setattr__(mode, "closed_form", bad)
+        with pytest.raises(NumericalConsistencyError):
+            select_modes(self.modes, [3.0, 2.0, 1.0], 3)
 
 
 class TestReconstruction:
