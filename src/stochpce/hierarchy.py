@@ -1,7 +1,8 @@
 """Hermite polynomial chaos hierarchy for the stochastically driven system.
 
-The density matrix is expanded in multivariate probabilists' Hermite
-polynomials of the S Karhunen-Loeve variables, over a downward-closed set of
+The density matrix is expanded in the orthonormal multivariate Hermite
+polynomials psi_m(xi) = prod_j He_{m_j}(xi_j) / sqrt(m_j!) of the S
+Karhunen-Loeve variables, over a downward-closed set of
 N multi-indices (enumerate_indices builds the total-degree set |m|_1 <= P,
 of size (S+P)!/(S!P!); any other downward-closed set works the same way).
 Galerkin projection of the rotating-frame evolution turns the stochastic
@@ -9,13 +10,15 @@ equation into N coupled deterministic operator ODEs
 
     d phi_m / dt = -i sum_n sqrt(lambda_n) g_n(t) sum_l G_{m,n,l} [V(t), phi_l]
 
-where the coupling tensor G has the closed form
-G_{m,n,l} = ((m_n + 1) delta_{m_n+1, l_n} + delta_{m_n-1, l_n}) prod_{j != n} delta_{m_j, l_j},
+where the coupling tensor G_{m,n,l} = E[psi_m xi_n psi_l] has the closed form
+G_{m,n,l} = (sqrt(m_n + 1) delta_{m_n+1, l_n} + sqrt(m_n) delta_{m_n-1, l_n})
+            prod_{j != n} delta_{m_j, l_j},
 so each coefficient couples to at most 2 S partners: the lowered ones are
-always in the set, the raised ones only where the set contains them.
+always in the set, the raised ones only where the set contains them.  G is
+symmetric in m and l.
 
 The stochastic mean is exactly phi_0 (all higher Hermite polynomials have
-zero mean); observable variance falls out of orthogonality for free.
+zero mean); observable variance falls out of orthonormality for free.
 
 Every phi_m is Hermitian (G is real and the flow is -i[V, .]), so the
 integrator carries each one as d*d real coordinates
@@ -88,17 +91,15 @@ class MultiIndexSet:
 
     indices is the only input: the zero index first, then ascending total
     degree and, within a degree, ascending lexicographic order; every index
-    lowered by one in any coordinate is also a member.  Those are exactly the
-    sets on which the Galerkin couplings stay symmetric in the Hermite inner
-    product.  s, p (the largest total degree), lookup (index -> position) and
-    weight_norms (E[Phi_m^2] = prod_j m_j!, read-only) are derived once.
+    lowered by one in any coordinate is also a member, so every lowered
+    coupling partner is in the set.  s, p (the largest total degree) and
+    lookup (index -> position) are derived once.
     """
 
     indices: tuple
     s: int = field(init=False)
     p: int = field(init=False)
     lookup: dict = field(init=False)
-    weight_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         indices = self.indices
@@ -116,24 +117,12 @@ class MultiIndexSet:
                 if m[n] >= 1 and m[:n] + (m[n] - 1,) + m[n + 1:] not in lookup:
                     raise ValueError(f"{m} is in the set but its lowering in "
                                      f"mode {n + 1} is not (not downward-closed)")
-        norms = np.array([_weight_norm(m) for m in indices])
-        norms.setflags(write=False)
-        for name, value in (("s", s), ("p", keys[-1][0]), ("lookup", lookup),
-                            ("weight_norms", norms)):
+        for name, value in (("s", s), ("p", keys[-1][0]), ("lookup", lookup)):
             object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-
-def _weight_norm(m: tuple) -> float:
-    """E[Phi_m^2] = prod_j m_j! as a float; CapacityError past float64."""
-    try:
-        return float(math.prod(math.factorial(mj) for mj in m))
-    except OverflowError:
-        raise CapacityError(f"weight prod_j m_j! of multi-index {m} exceeds "
-                            f"the float64 range") from None
 
 
 def _compositions(parts: int, total: int):
@@ -170,10 +159,13 @@ class GalerkinCouplings:
 
 
 def build_couplings(basis: MultiIndexSet) -> GalerkinCouplings:
-    """Emit raising (weight m_n + 1) and lowering (weight 1) partners per mode.
+    """Emit raising (weight sqrt(m_n + 1)) and lowering (weight sqrt(m_n))
+    partners per mode.
 
     A raised partner is kept exactly when the set contains it (boundary
     truncation); lowered partners are always inside a downward-closed set.
+    The raising entry of m and the lowering entry of m + e_n are the same
+    sqrt, so every M_n equals its transpose bitwise.
     """
     rows = [[] for _ in range(basis.s)]
     cols = [[] for _ in range(basis.s)]
@@ -182,7 +174,8 @@ def build_couplings(basis: MultiIndexSet) -> GalerkinCouplings:
         for n in range(basis.s):
             lowered = basis.lookup.get(m[:n] + (m[n] - 1,) + m[n + 1:])
             raised = basis.lookup.get(m[:n] + (m[n] + 1,) + m[n + 1:])
-            for l_pos, weight in ((lowered, 1.0), (raised, float(m[n] + 1))):
+            for l_pos, weight in ((lowered, math.sqrt(m[n])),
+                                  (raised, math.sqrt(m[n] + 1))):
                 if l_pos is not None:
                     rows[n].append(m_pos); cols[n].append(l_pos); data[n].append(weight)
     n_basis = basis.size
@@ -243,9 +236,9 @@ def _hermiticity_errors(coeffs: np.ndarray) -> np.ndarray:
     return np.max(np.sqrt(_squared_norms(dev)), axis=-1)
 
 
-def _weighted_norms(coeffs: np.ndarray, weight_norms: np.ndarray) -> np.ndarray:
-    """sum_m weight_norms[m] ||phi_m||_F^2 of each stack in (..., N, d, d)."""
-    return _squared_norms(coeffs) @ weight_norms
+def _weighted_norms(coeffs: np.ndarray) -> np.ndarray:
+    """sum_m ||phi_m||_F^2 of each stack in (..., N, d, d)."""
+    return np.sum(_squared_norms(coeffs), axis=-1)
 
 
 def _state_batch(states) -> tuple:
@@ -300,10 +293,10 @@ def hermiticity_error(states):
 
 
 def weighted_norm(state: PCEState) -> float:
-    """sum_m (prod_j m_j!) ||phi_m||_F^2, which the truncated Galerkin flow
-    conserves exactly: the couplings are symmetric in the Hermite inner
-    product and the commutator with V is anti-Hermitian."""
-    return float(_weighted_norms(state.coefficients, state.basis.weight_norms))
+    """sum_m ||phi_m||_F^2 = E ||rho(xi)||_F^2, which the truncated Galerkin
+    flow conserves exactly: every coupling matrix M_n is symmetric and the
+    commutator with V is anti-Hermitian."""
+    return float(_weighted_norms(state.coefficients))
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,14 +417,13 @@ def _check_weighted_norm(norm: float, norm0: float, t: float) -> None:
             f"at t = {t!r}; reduce dt_max")
 
 
-def _check_records(coeffs: np.ndarray, times, weight_norms: np.ndarray,
-                   norm0: float) -> None:
+def _check_records(coeffs: np.ndarray, times, norm0: float) -> None:
     """Check a block's (B, N, d, d) records in time order, each with
     _check_invariants and then _check_weighted_norm, so the first failing
     record raises with its first failing check."""
     checked = zip(times, _trace_errors(coeffs).tolist(),
                   _hermiticity_errors(coeffs).tolist(),
-                  _weighted_norms(coeffs, weight_norms).tolist())
+                  _weighted_norms(coeffs).tolist())
     for t, t_err, h_err, norm in checked:
         _check_invariants(t_err, h_err, t)
         _check_weighted_norm(norm, norm0, t)
@@ -577,7 +569,7 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
                 start = stages.stop
         coeffs = _from_real(records, d)
         record_times = times[block.start + 1:block.stop + 1]
-        _check_records(coeffs, record_times, basis.weight_norms, norm0)
+        _check_records(coeffs, record_times, norm0)
         out.extend(PCEState(coefficients=c, t=t, basis=basis)
                    for c, t in zip(coeffs, record_times))
     return out
@@ -586,7 +578,7 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
 def mean_state(states, model: StochasticModel) -> np.ndarray:
     """The stochastic-mean density matrix in the Schrodinger frame.
 
-    E[Phi_m] vanishes for m != 0, so the mean is phi_0 conjugated back by
+    E[psi_m] vanishes for m != 0, so the mean is phi_0 conjugated back by
     U0(t).  One PCEState gives a (d, d) matrix, a sequence of them a
     (T, d, d) stack.  A trace off 1 by more than MEAN_TRACE_TOL, NaN
     included, raises CorruptedStateError for the first such record, named
@@ -650,9 +642,9 @@ def _traces_with(coeffs: np.ndarray, obs: np.ndarray) -> np.ndarray:
 def observable_variance(states, obs, model: StochasticModel):
     """Noise-induced variance of tr(obs rho(xi)) across realizations.
 
-    Orthogonality of the Hermite basis gives
-    Var = sum_{m != 0} (prod_j m_j!) tr(obs_rot phi_m)^2 with obs rotated into
-    the propagation frame; no sampling involved.  A float for one PCEState,
+    Orthonormality of the Hermite basis gives
+    Var = sum_{m != 0} tr(obs_rot phi_m)^2 with obs rotated into the
+    propagation frame; no sampling involved.  A float for one PCEState,
     a (T,) array for a sequence of them.  A record with a non-finite
     coefficient raises CorruptedStateError, for the first such record,
     named by its time.
@@ -669,5 +661,4 @@ def observable_variance(states, obs, model: StochasticModel):
         k = int(np.argmax(bad))
         raise CorruptedStateError(
             f"state at t = {records[k].t!r} has non-finite coefficients")
-    weights = records[0].basis.weight_norms[1:]
-    return unstack(np.sum(weights * values[:, 1:] ** 2, axis=-1), batched)
+    return unstack(np.sum(values[:, 1:] ** 2, axis=-1), batched)

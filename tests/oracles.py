@@ -196,14 +196,14 @@ def trajectory_states_loop(h0, v, t_grid, path, rho0, record_idx) -> np.ndarray:
 # PCE read-out, one record at a time
 # ---------------------------------------------------------------------------
 
-def pce_curve_loop(h0, obs, coefficients, times, weight_norms) -> np.ndarray:
+def pce_curve_loop(h0, obs, coefficients, times) -> np.ndarray:
     """Rows (mean, variance, trace error, hermiticity error, min eigenvalue)
     of <obs> over the (N, d, d) chaos coefficients of each record, computed
     one record at a time.
 
     The mean state is U0(t) phi_0 U0(t)^dag, made Hermitian, with
     U0(t) = I + P (exp(-i E t) - 1) P^dag from eigh(h0) = (E, P); the
-    variance is sum_{m != 0} weight_norms[m] tr(U0^dag obs U0 phi_m)^2; the
+    variance is sum_{m != 0} tr(U0^dag obs U0 phi_m)^2; the
     trace error is max_m |tr phi_m - delta_{m,0}| and the hermiticity
     error max_m ||phi_m - phi_m^dag||_F.
     """
@@ -222,7 +222,7 @@ def pce_curve_loop(h0, obs, coefficients, times, weight_norms) -> np.ndarray:
         dev = (coeffs - np.swapaxes(coeffs, -1, -2).conj()).reshape(len(coeffs), -1)
         flat = dev.view(float)
         rows.append((np.trace(obs @ rho).real,
-                     np.sum(weight_norms[1:] * values[1:] ** 2),
+                     np.sum(values[1:] ** 2),
                      np.max(np.abs(traces)),
                      np.max(np.sqrt(np.einsum("...i,...i->...", flat, flat))),
                      np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()))
@@ -298,16 +298,17 @@ def galerkin_rk4_loop(coeffs, t_grid, dt_max, v_of_t, s_of_t,
 
 def gauss_hermite_collocation_rk4(rho0, p: int, h: float, v_stage,
                                   s_stage) -> np.ndarray:
-    """Hermite coefficients phi_0..phi_p of a one-mode model from
-    (p+1)-point Gauss-Hermite collocation.
+    """Orthonormal Hermite coefficients phi_0..phi_p of a one-mode model
+    from (p+1)-point Gauss-Hermite collocation.
 
     Each node xi_k carries its own state under
     d rho_k/dt = -i s(t) xi_k [V(t), rho_k], all starting from rho0, stepped
     by classic RK4 with step h; v_stage (2K+1, d, d) and s_stage (2K+1,)
     hold V(t) and s(t) on the half-step grid of the K steps.  The discrete
-    projection phi_m = sum_k w_k He_m(xi_k) rho_k / m! is exact for the
-    products of degree <= 2p that occur.  The order-p Galerkin coupling
-    matrix is the Jacobi matrix of He, whose eigenvalues are these nodes
+    projection phi_m = sum_k w_k psi_m(xi_k) rho_k, with psi_m from
+    orthonormal_hermite, is exact for the products of degree <= 2p that
+    occur.  The order-p Galerkin coupling matrix is the Jacobi matrix of
+    the orthonormal Hermite polynomials, whose eigenvalues are these nodes
     (Golub & Welsch, Math. Comp. 23, 1969), so the order-p hierarchy
     stepped on the same stage grid must give the same coefficients to
     round-off.
@@ -327,10 +328,8 @@ def gauss_hermite_collocation_rk4(rho0, p: int, h: float, v_stage,
         k3 = rhs(i0 + 1, rho + (h / 2) * k2)
         k4 = rhs(i0 + 2, rho + h * k3)
         rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    he = np.array([np.polynomial.hermite_e.hermeval(nodes, np.eye(p + 1)[m])
-                   for m in range(p + 1)])
-    norms = np.array([float(math.factorial(m)) for m in range(p + 1)])
-    return np.einsum("mk,k,kij->mij", he, weights, rho) / norms[:, None, None]
+    psi = orthonormal_hermite(p, nodes)
+    return np.einsum("mk,k,kij->mij", psi, weights, rho)
 
 
 class ConstantKernel:
@@ -356,25 +355,37 @@ class ConstantKernel:
 # Hermite triple products for the Galerkin coupling weights
 # ---------------------------------------------------------------------------
 
+def orthonormal_hermite(p_max: int, xi) -> np.ndarray:
+    """psi_a(xi) for a = 0..p_max, shape (p_max + 1, len(xi)), where
+    psi_a = He_a / sqrt(a!) are the orthonormal Hermite polynomials.
+
+    Evaluated by the orthonormal three-term recurrence
+    psi_{a+1} = (xi psi_a - sqrt(a) psi_{a-1}) / sqrt(a+1), so no value
+    carries a factorial and degrees far past 170 stay finite.
+    """
+    xi = np.asarray(xi, dtype=float)
+    psi = np.empty((p_max + 1, xi.size))
+    psi[0] = 1.0
+    if p_max >= 1:
+        psi[1] = xi
+    for deg in range(1, p_max):
+        psi[deg + 1] = ((xi * psi[deg] - math.sqrt(deg) * psi[deg - 1])
+                        / math.sqrt(deg + 1))
+    return psi
+
+
 def hermite_moment_tables(p_max: int, n_nodes: int = 40):
     """Q0[a,b] = E[psi_a psi_b] and Q1[a,b] = E[psi_a xi psi_b] for the
     orthonormal Hermite polynomials psi_a = He_a / sqrt(a!).
 
-    psi is evaluated at the Gauss-Hermite nodes by the orthonormal
-    three-term recurrence psi_{a+1} = (xi psi_a - sqrt(a) psi_{a-1})
-    / sqrt(a+1), so every value and every table entry is O(1), and the
-    quadrature is exact for the polynomial degrees involved
-    (degree <= 2 p_max + 1 << 2 n_nodes - 1).
+    psi is evaluated at the Gauss-Hermite nodes by orthonormal_hermite, so
+    every value and every table entry is O(1), and the quadrature is exact
+    for the polynomial degrees involved (degree <= 2 p_max + 1
+    << 2 n_nodes - 1).
     """
     nodes, weights = roots_hermitenorm(n_nodes)
     weights = weights / weights.sum()
-    psi = np.empty((p_max + 1, n_nodes))
-    psi[0] = 1.0
-    if p_max >= 1:
-        psi[1] = nodes
-    for deg in range(1, p_max):
-        psi[deg + 1] = ((nodes * psi[deg] - math.sqrt(deg) * psi[deg - 1])
-                        / math.sqrt(deg + 1))
+    psi = orthonormal_hermite(p_max, nodes)
     q0 = (psi * weights) @ psi.T
     q1 = (psi * (weights * nodes)) @ psi.T
     return q0, q1
@@ -392,19 +403,14 @@ def coupling_weights(couplings) -> dict:
 
 
 def galerkin_weight_quadrature(m, mode_j: int, l, q0, q1) -> float:
-    """E[Phi_m xi_j Phi_l] / E[Phi_m^2] for multivariate Hermite products,
-    from the orthonormal tables of hermite_moment_tables.
+    """E[psi_m xi_j psi_l] for multivariate orthonormal Hermite products
+    psi_m = prod_i psi_{m_i}(xi_i), from the tables of hermite_moment_tables.
 
     Independence factorizes the expectation into one 1-D moment per
-    variable; with He_a = sqrt(a!) psi_a each factor is
-    table[m_i, l_i] sqrt(l_i! / m_i!).
+    variable: table[m_i, l_i], with q1 for variable j and q0 otherwise.
     """
     out = 1.0
     for j, (mj, lj) in enumerate(zip(m, l)):
         table = q1 if j == mode_j else q0
         out *= table[mj, lj]
-        if out == 0.0:
-            return 0.0
-    ratio = math.prod(math.factorial(lj) for lj in l) / math.prod(
-        math.factorial(mj) for mj in m)
-    return float(out * math.sqrt(ratio))
+    return float(out)

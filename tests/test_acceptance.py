@@ -109,7 +109,7 @@ def test_criterion_1_basis_enumeration():
 
 def test_criterion_2_coupling_weights():
     """Every Galerkin weight for s <= 3, p <= 5 against Gauss-Hermite
-    quadrature of E[Phi_m xi_n Phi_l]/E[Phi_m^2], including omitted zeros."""
+    quadrature of E[psi_m xi_n psi_l], including omitted zeros."""
     start = time.perf_counter()
     worst = 0.0
     checked = 0

@@ -216,8 +216,7 @@ class TestPCECommand:
         assert len(states) > hierarchy.BLOCK_SIZE
         rows = pce_curve_loop(config.build_model().h0, config.build_observable(),
                               [st.coefficients for st in states],
-                              [st.t for st in states],
-                              states[0].basis.weight_norms)
+                              [st.t for st in states])
         expected = [",".join(format_float(x) for x in (st.t, *row))
                     for st, row in zip(states, rows)]
         _, _, written = read_csv(f"{prefix}_pce.csv")
@@ -463,15 +462,21 @@ spacing = 0.1
                      "--out", str(tmp_path / "out")]) == 2
         assert "numerical error" in capsys.readouterr().err
 
-    def test_overflowing_weight_exits_2(self, tmp_path, capsys):
-        """p = 171 on one mode needs 171!, past float64: a typed error, no
-        traceback."""
-        text = TINY.replace("s = 2", "s = 1").replace("p = 3", "p = 171")
+    def test_high_degree_runs_and_oversized_basis_exits_2(self, tmp_path,
+                                                          capsys):
+        """p = 200 on one mode runs; a basis over MAX_BASIS_SIZE is a typed
+        error, no traceback."""
+        text = TINY.replace("s = 2", "s = 1").replace("p = 3", "p = 200")
         cfg = write_config(tmp_path, text)
         assert main(["pce", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 2
+                     "--out", str(tmp_path / "high")]) == 0
+        capsys.readouterr()
+        text = TINY.replace("p = 3", "p = 5000")
+        cfg = write_config(tmp_path, text, name="big.ini")
+        assert main(["pce", "--config", cfg,
+                     "--out", str(tmp_path / "big")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numerical error:") and "(171,)" in err
+        assert err.startswith("numerical error:") and "basis size" in err
         assert "Traceback" not in err
 
     def test_bad_seed_value(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from stochpce import (
     expectation,
     hierarchy,
     initial_pce_state,
+    parse_config,
     propagate,
 )
 from stochpce.hierarchy import (
@@ -66,6 +68,7 @@ from stochpce.hierarchy import (
 )
 from stochpce.kle import (
     cumulative_rates,
+    ou_modes,
     scaled_modes_matrix,
     select_modes,
     solve_fredholm,
@@ -137,13 +140,6 @@ class TestMultiIndexSet:
         for pos, m in enumerate(basis.indices):
             assert basis.lookup[m] == pos
 
-    def test_weight_norms_are_factorial_products(self):
-        basis = enumerate_indices(2, 3)
-        norms = basis.weight_norms
-        for pos, (a, b) in enumerate(basis.indices):
-            assert norms[pos] == math.factorial(a) * math.factorial(b)
-        assert not norms.flags.writeable
-
     def test_total_degree_set_from_indices(self):
         """A set built from its indices alone derives what enumerate_indices
         gives: s, p as the largest total degree, and the lookup."""
@@ -175,18 +171,11 @@ class TestMultiIndexSet:
         with pytest.raises(CapacityError):
             enumerate_indices(40, 10)  # comb(50, 10) ~ 1e10 coefficients
 
-    def test_weight_past_float64_is_a_capacity_error(self):
-        """171! overflows a float64; 170! does not."""
-        with pytest.raises(CapacityError, match=r"\(171,\)"):
-            enumerate_indices(1, 171)
-        basis = enumerate_indices(1, 170)
-        assert basis.weight_norms[-1] == float(math.factorial(170))
-
 
 class TestCouplings:
     def test_weights_match_hermite_quadrature(self):
-        """Every stored weight equals E[Phi_m xi_n Phi_l]/E[Phi_m^2], and every
-        pair the table omits has a vanishing moment."""
+        """Every stored weight equals E[psi_m xi_n psi_l], and every pair
+        the table omits has a vanishing moment."""
         basis = enumerate_indices(2, 3)
         couplings = build_couplings(basis)
         q0, q1 = hermite_moment_tables(basis.p + 1)
@@ -214,16 +203,22 @@ class TestCouplings:
                 assert per_index[pos] == expected
 
     def test_raising_and_lowering_weights(self):
-        basis = enumerate_indices(3, 5)
-        for (m_pos, n, l_pos), weight in coupling_weights(
-                build_couplings(basis)).items():
-            m = basis.indices[m_pos]
-            l = basis.indices[l_pos]
-            if sum(l) == sum(m) + 1:
-                assert weight == m[n] + 1
-            else:
-                assert sum(l) == sum(m) - 1
-                assert weight == 1.0
+        """Raising weight sqrt(m_n + 1), lowering weight sqrt(m_n), and every
+        M_n equal to its transpose bit for bit, on a total-degree and a
+        weighted set: the conservation of weighted_norm rests on that."""
+        for basis in (enumerate_indices(3, 9), weighted_set((1, 3, 6), 27)):
+            couplings = build_couplings(basis)
+            for (m_pos, n, l_pos), weight in coupling_weights(couplings).items():
+                m = basis.indices[m_pos]
+                l = basis.indices[l_pos]
+                if sum(l) == sum(m) + 1:
+                    assert weight == math.sqrt(m[n] + 1)
+                else:
+                    assert sum(l) == sum(m) - 1
+                    assert weight == math.sqrt(m[n])
+            for matrix in couplings.mode_matrices:
+                assert matrix.nnz > 0
+                assert not (matrix.toarray() != matrix.T.toarray()).any()
 
 
 class TestSummedCouplings:
@@ -280,14 +275,9 @@ class TestWeightedSets:
 
     def test_weights_match_hermite_quadrature(self):
         """Criterion 2's check on the N = 315 set: every (m, n, l) weight,
-        omitted zeros included, against Gauss-Hermite quadrature.
-
-        Both sides are compared in the orthonormal scaling, times
-        sqrt(E[Phi_m^2] / E[Phi_l^2]).  The tables are orthonormal and
-        accurate to ~1e-12, but a raw weight between degrees 0 and 27
-        multiplies a table entry by sqrt(27!) ~ 1e14, so a quadrature zero
-        carries a rounding error of up to 0.09 in the raw scaling and
-        about 5e-13 in this one."""
+        omitted zeros included, against Gauss-Hermite quadrature of
+        E[psi_m xi_n psi_l].  Weights and tables are both orthonormal, so
+        every value is O(1) and the raw weights compare at 1e-10."""
         basis = weighted_set((1, 3, 6), 27)
         q0, q1 = hermite_moment_tables(basis.p + 1)
         stored = coupling_weights(build_couplings(basis))
@@ -295,11 +285,9 @@ class TestWeightedSets:
         for m_pos, m in enumerate(basis.indices):
             for n in range(basis.s):
                 for l_pos, l in enumerate(basis.indices):
-                    scale = math.sqrt(basis.weight_norms[m_pos]
-                                      / basis.weight_norms[l_pos])
                     expected = galerkin_weight_quadrature(m, n, l, q0, q1)
                     got = stored.get((m_pos, n, l_pos), 0.0)
-                    worst = max(worst, scale * abs(got - expected))
+                    worst = max(worst, abs(got - expected))
         assert worst <= 1e-10
 
     def test_fig2_weighted_sets_agree(self):
@@ -718,7 +706,7 @@ class TestPropagation:
         factor = err_coarse / err_fine
         assert 10.0 <= factor <= 24.0
 
-    @pytest.mark.parametrize("p", [3, 6, 10])
+    @pytest.mark.parametrize("p", [3, 6, 10, 30, 60])
     def test_one_mode_hierarchy_equals_gauss_hermite_collocation(self, p):
         """For s = 1 the order-p hierarchy is (p+1)-point Gauss-Hermite
         collocation in another basis; stepped by RK4 on the same stage grid
@@ -736,6 +724,32 @@ class TestPropagation:
         assert np.max(np.abs(reference[1:])) > 0.05  # the noise moved it
         np.testing.assert_allclose(final.coefficients, reference, rtol=0,
                                    atol=1e-13)
+
+    def test_degree_200_one_mode_fig2_run(self):
+        """The fig2 preset on its dominant mode at degree 200, whose Hermite
+        norm 200! would overflow a float64: the run conserves the weighted
+        norm to 1e-9, and its final variance of sx agrees with degree 80 to
+        1e-9."""
+        config = parse_config(
+            (resources.files("stochpce") / "presets" / "fig2.ini").read_text())
+        model = config.build_model()
+        modes = ou_modes(model.kernel, config.model.tau,
+                         grid_size=config.kle.grid_size,
+                         n_modes=config.kle.candidate_modes)
+        kle = select_modes(modes, cumulative_rates(modes, model), 1)
+        obs = config.build_observable()
+        final_variance = {}
+        for p in (80, 200):
+            basis = enumerate_indices(1, p)
+            states = propagate(initial_pce_state(config.build_rho0(), basis),
+                               model, kle, build_couplings(basis),
+                               config.output_times(),
+                               dt_max=config.pce.dt_max)
+            norm0 = weighted_norm(states[0])
+            assert max(abs(weighted_norm(st) - norm0) for st in states) <= 1e-9
+            final_variance[p] = observable_variance(states[-1], obs, model)
+        assert final_variance[200] > 0.1  # the noise spread sx
+        assert abs(final_variance[200] - final_variance[80]) <= 1e-9
 
     def test_zeroth_order_only_is_frozen(self):
         """P = 0 has no couplings: the single coefficient must not move at all."""
@@ -955,8 +969,7 @@ class TestBatchedReadout:
             "observable_mean", "observable_variance", "trace_error",
             "hermiticity_error", "min_eigenvalue")], axis=1)
         expected = pce_curve_loop(model.h0, obs, [st.coefficients for st in states],
-                                  [st.t for st in states],
-                                  states[0].basis.weight_norms)
+                                  [st.t for st in states])
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("corruption", ["trace", "nan"])
