@@ -20,20 +20,22 @@ symmetric in m and l.
 The stochastic mean is exactly phi_0 (all higher Hermite polynomials have
 zero mean); observable variance falls out of orthonormality for free.
 
-Every phi_m is Hermitian (G is real and the flow is -i[V, .]), so the
-integrator carries each one as d*d real coordinates
-r(X) = (diag X, Re upper(X), Im upper(X)), in which -i[V(t), .] is a real
-(d*d, d*d) matrix K(t).  The per-mode coupling matrices M_n have disjoint
+Every phi_m is Hermitian (G is real and the flow is -i[V, .]) and keeps its
+trace, so the integrator carries each as its d*d - 1 real coordinates
+y_a = tr(G_a phi_m) / 2 in the generalized Gell-Mann matrices G_a
+(_traceless_basis), and its trace as a constant.  In these coordinates
+-i[V(t), .] is a real antisymmetric (d*d - 1, d*d - 1) matrix K(t).
+The per-mode coupling matrices M_n have disjoint
 patterns (M_n[m, l] != 0 only for l = m +- e_n), so sum_n s_n(t) M_n is one
 CSR matrix whose pattern never changes.  Public states stay complex (N, d, d).
 
 One RHS is then one small dense product and one sparse product, and at these
 sizes their cost is mostly call overhead.  On the fig2 preset (N = 220, 990
-summed entries, d*d = 4 columns; 2-vCPU Xeon host, timeit medians)
-`summed @ x` takes 7.5 us, of which SciPy's csr_matvecs kernel is 3.6 us and
-the rest is operator dispatch and a fresh result array.  So each RK4 stage
-writes into buffers allocated once per run of steps, and _rhs calls
-csr_matvecs on them directly: one RHS takes 6.0 us instead of 9.3 us.
+summed entries, d*d - 1 = 3 columns; 2-vCPU Xeon host, best of timeit
+rounds) `summed @ x` takes 7 us, of which SciPy's csr_matvecs kernel is 4 us
+and the rest is operator dispatch and a fresh result array.  So each RK4
+stage writes into buffers allocated once per run of steps, and _rhs calls
+csr_matvecs on them directly: one RHS takes 5.2 us instead of 8.8 us.
 
 The read-out functions (mean_state, observable_mean, observable_variance,
 trace_error, hermiticity_error, min_eigenvalue) take one PCEState or a
@@ -295,68 +297,74 @@ def hermiticity_error(states):
 def weighted_norm(state: PCEState) -> float:
     """sum_m ||phi_m||_F^2 = E ||rho(xi)||_F^2, which the truncated Galerkin
     flow conserves exactly: every coupling matrix M_n is symmetric and the
-    commutator with V is anti-Hermitian."""
+    commutator with V is anti-Hermitian.  In the traceless coordinates y_m
+    of propagate it is sum_m (2 ||y_m||^2 + tr(phi_m)^2 / d): the traces are
+    constant, and symmetric M_n times antisymmetric K(t) keep the y part."""
     return float(_weighted_norms(state.coefficients))
 
 
 @functools.lru_cache(maxsize=None)
-def _triangle(d: int) -> tuple:
-    """(diag, rows, cols): np.arange(d) and np.triu_indices(d, 1).  Read-only."""
-    parts = (np.arange(d),) + np.triu_indices(d, 1)
-    for part in parts:
-        part.setflags(write=False)
-    return parts
+def _traceless_basis(d: int) -> np.ndarray:
+    """The d*d - 1 generalized Gell-Mann matrices G_a, shape (d*d - 1, d, d):
+    E_jk + E_kj, then -i E_jk + i E_kj (j < k in np.triu_indices order),
+    then sqrt(2 / (l (l + 1))) (E_00 + ... + E_{l-1,l-1} - l E_ll) for
+    l = 1 .. d-1.  Hermitian, traceless, tr(G_a G_b) = 2 delta_ab; for a
+    qubit they are sigma_x, sigma_y, sigma_z.  Read-only."""
+    units = np.eye(d * d).reshape(d * d, d, d)  # units[j * d + k] = E_jk
+    rows, cols = np.triu_indices(d, 1)
+    upper, lower = units[rows * d + cols], units[cols * d + rows]
+    diagonal = [math.sqrt(2 / (l * (l + 1)))
+                * np.diag([1.0] * l + [-l] + [0.0] * (d - l - 1))
+                for l in range(1, d)]
+    basis = np.concatenate([upper + lower, 1j * (lower - upper), diagonal])
+    basis.setflags(write=False)
+    return basis
 
 
-def _to_real(x: np.ndarray) -> np.ndarray:
-    """Real coordinates (diag X, Re upper(X), Im upper(X)) of Hermitian
-    (..., d, d) matrices, shape (..., d*d); upper is the strict upper
-    triangle in np.triu_indices order.  The lower triangle is not read."""
-    diag, rows, cols = _triangle(x.shape[-1])
-    upper = x[..., rows, cols]
-    return np.concatenate([x[..., diag, diag].real, upper.real, upper.imag],
-                          axis=-1)
+def _coordinates(x: np.ndarray) -> np.ndarray:
+    """y_a = tr(G_a X) / 2 of Hermitian (..., d, d) matrices, shape
+    (..., d*d - 1).  For Hermitian G_a, tr(G_a X) is the real dot product
+    of G_a and X viewed as floats, so this is one real matrix product."""
+    d = x.shape[-1]
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    basis = _traceless_basis(d).reshape(-1, d * d)
+    return (flat.view(float) @ basis.view(float).T) * 0.5
 
 
-def _from_real(r: np.ndarray, d: int) -> np.ndarray:
-    """The Hermitian (..., d, d) matrices with real coordinates r; inverts
-    _to_real bitwise, since both only copy entries."""
-    diag, rows, cols = _triangle(d)
-    n_upper = rows.size
-    re, im = r[..., d:d + n_upper], r[..., d + n_upper:]
-    x = np.zeros(r.shape[:-1] + (d, d), dtype=complex)
-    x.real[..., diag, diag] = r[..., :d]
-    x.real[..., rows, cols] = re
-    x.imag[..., rows, cols] = im
-    x.real[..., cols, rows] = re
-    x.imag[..., cols, rows] = -im
+def _matrices(y: np.ndarray, traces: np.ndarray, d: int) -> np.ndarray:
+    """X = tr(X) / d I + sum_a y_a G_a, shape (..., d, d), for coordinates
+    y of shape (..., d*d - 1) and traces broadcasting against y[..., 0].
+    Off-diagonal entries are copies of coordinates, so every X is exactly
+    Hermitian."""
+    x = (y @ _traceless_basis(d).reshape(-1, d * d).view(float)).view(complex)
+    x = x.reshape(y.shape[:-1] + (d, d))
+    x.real[..., range(d), range(d)] += (traces / d)[..., None]
     return x
 
 
 @functools.lru_cache(maxsize=None)
 def _structure_constants(d: int) -> np.ndarray:
-    """F, shape (d*d, d*d, d*d), with F[c, a] = r(-i [E_c, E_a]), where E_c
-    is the Hermitian matrix whose real coordinates are the unit vector e_c
-    and r is _to_real.  Read-only."""
-    units = _from_real(np.eye(d * d), d)
-    left, right = units[:, None], units[None, :]
-    constants = _to_real(-1j * (left @ right - right @ left))
+    """F, shape (d*d - 1,) * 3, with F[c, b, a] = y_a(-i [G_c, G_b]) for the
+    coordinates y_a of _coordinates.  Totally antisymmetric.  Read-only."""
+    basis = _traceless_basis(d)
+    left, right = basis[:, None], basis[None, :]
+    constants = _coordinates(-1j * (left @ right - right @ left))
     constants.setflags(write=False)
     return constants
 
 
 def _commutator_kernels(model: StochasticModel, times) -> np.ndarray:
-    """K(t), shape (T, d*d, d*d): the real matrix with r(X) @ K(t) =
-    r(-i [V(t), X]) for Hermitian X, where r is _to_real.
+    """K(t), shape (T, d*d - 1, d*d - 1): the real antisymmetric matrix with
+    y(X) @ K(t) = y(-i [V(t), X]) for Hermitian X, where y is _coordinates.
 
-    The commutator is real-linear in V, so K(t) = sum_c r_c(V(t)) F[c] with
-    the structure constants F: one (T, d*d) @ (d*d, d**4) product.
+    The commutator is real-linear in V and the identity part of V commutes
+    with X, so K(t) = sum_c y_c(V(t)) F[c] with the structure constants F:
+    one (T, d*d - 1) @ (d*d - 1, (d*d - 1)**2) product.
     """
-    d = model.dim
+    n = model.dim ** 2 - 1
     v_t = rotating_frame_potential(model, np.asarray(times, dtype=float))
-    v_coords = _to_real(v_t)
-    constants = _structure_constants(d).reshape(d * d, -1)
-    return (v_coords @ constants).reshape(-1, d * d, d * d)
+    constants = _structure_constants(model.dim).reshape(n, -1)
+    return (_coordinates(v_t) @ constants).reshape(-1, n, n)
 
 
 def _summed_couplings(couplings: GalerkinCouplings):
@@ -409,24 +417,12 @@ def _check_invariants(t_err: float, h_err: float, t: float) -> None:
 
 
 def _check_weighted_norm(norm: float, norm0: float, t: float) -> None:
-    """RK4 keeps every trace and hermiticity exactly even when it is
-    unstable; an unstable step shows only as growth of the weighted norm."""
+    """Records keep every trace and hermiticity by construction, even when
+    RK4 is unstable; an unstable step shows only as weighted-norm growth."""
     if not (norm <= norm0 * (1.0 + DIVERGENCE_FACTOR * WEIGHTED_NORM_TOL)):
         raise PropagationDivergedError(
             f"weighted norm {norm:.3e} exceeds its initial {norm0:.3e} "
             f"at t = {t!r}; reduce dt_max")
-
-
-def _check_records(coeffs: np.ndarray, times, norm0: float) -> None:
-    """Check a block's (B, N, d, d) records in time order, each with
-    _check_invariants and then _check_weighted_norm, so the first failing
-    record raises with its first failing check."""
-    checked = zip(times, _trace_errors(coeffs).tolist(),
-                  _hermiticity_errors(coeffs).tolist(),
-                  _weighted_norms(coeffs).tolist())
-    for t, t_err, h_err, norm in checked:
-        _check_invariants(t_err, h_err, t)
-        _check_weighted_norm(norm, norm0, t)
 
 
 def _rk4_steps(summed, kernels: np.ndarray, data: np.ndarray, h: float,
@@ -493,8 +489,10 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     Records a PCEState at every t_grid point (the first must equal state.t).
     Within each output interval the step is the largest uniform step not
     exceeding dt_max (default horizon / 2000).  Between records the
-    coefficients are the real (N, d*d) coordinates Y of _to_real, and one
-    RHS is sum_n s_n(t) M_n (Y K(t)): one dense and one sparse real product.
+    coefficients are the real (N, d*d - 1) traceless coordinates Y of
+    _coordinates, and one RHS is sum_n s_n(t) M_n (Y K(t)): one dense and
+    one sparse real product.  The flow conserves every trace, so the traces
+    are read once from the input state and carried as constants.
 
     The grid is integrated in blocks of BLOCK_SIZE output intervals, fewer
     where their steps would exceed BLOCK_STAGES stages (_blocks).  K(t) and
@@ -505,13 +503,13 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     stage data (_runs), so memory does not grow with the steps per interval.
     The data of the summed coupling matrix, weight * s_n(t), are built per
     interval or run and pre-scaled by the RK4 stage factors h/2, h and h/6
-    (_rk4_steps).  The block's records are converted back to
-    Hermitian matrices together, so their hermiticity error is exactly 0
-    and only the trace and the weighted_norm checks can see an integrator
-    fault.  Every record is checked, at the end of its block; the input
-    state is checked for trace and hermiticity drift before it is
-    converted.  PropagationDivergedError names the first failing time and
-    the first check that fails there.
+    (_rk4_steps).  The block's records are converted back to Hermitian
+    matrices together (_matrices), with their input traces, so trace and
+    hermiticity hold by construction and only the weighted_norm check can
+    see an integrator fault.  The input state is checked for trace and
+    hermiticity drift before it is converted, and every record for
+    weighted-norm growth at the end of its block.  PropagationDivergedError
+    names the first failing time and the first check that fails there.
     """
     if (couplings.basis is not state.basis
             and couplings.basis.indices != state.basis.indices):
@@ -546,13 +544,13 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     _check_invariants(trace_error(state), hermiticity_error(state), times[0])
     norm0 = weighted_norm(state)
     out = [PCEState(coefficients=state.coefficients, t=times[0], basis=basis)]
-    # C order like the stage buffers; mixed layouts make every update strided
-    y = np.ascontiguousarray(_to_real(state.coefficients))
+    traces = np.trace(state.coefficients, axis1=1, axis2=2).real
+    y = _coordinates(state.coefficients)  # C order, like the stage buffers
     steps = [max(1, int(np.ceil((t1 - t0) / dt_max - 1e-12)))
              for t0, t1 in zip(times[:-1], times[1:])]
     sizes = [(t1 - t0) / n for t0, t1, n in zip(times[:-1], times[1:], steps)]
     for block in _blocks(steps):
-        records = np.empty((len(block), basis.size, d * d))
+        records = np.empty((len(block), basis.size, d * d - 1))
         for run in _runs(block, steps):
             stage_times = np.concatenate(
                 [times[i] + (sizes[i] / 2) * np.arange(2 * first, 2 * stop + 1)
@@ -567,9 +565,10 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
                 if stop == steps[i]:
                     records[i - block.start] = y
                 start = stages.stop
-        coeffs = _from_real(records, d)
+        coeffs = _matrices(records, traces, d)
         record_times = times[block.start + 1:block.stop + 1]
-        _check_records(coeffs, record_times, norm0)
+        for t, norm in zip(record_times, _weighted_norms(coeffs).tolist()):
+            _check_weighted_norm(norm, norm0, t)
         out.extend(PCEState(coefficients=c, t=t, basis=basis)
                    for c, t in zip(coeffs, record_times))
     return out

@@ -52,12 +52,13 @@ from stochpce.hierarchy import (
     _blocks,
     _check_weighted_norm,
     _commutator_kernels,
-    _from_real,
+    _coordinates,
+    _matrices,
     _rhs,
     _rk4_steps,
     _runs,
+    _structure_constants,
     _summed_couplings,
-    _to_real,
     hermiticity_error,
     mean_state,
     min_eigenvalue,
@@ -249,19 +250,39 @@ class TestSummedCouplings:
         np.testing.assert_array_equal(summed.toarray(), expected.toarray())
 
 
-class TestRealCoordinates:
+class TestTracelessCoordinates:
     @pytest.mark.parametrize("d", [2, 3])
-    def test_round_trip_is_bitwise(self, d):
+    def test_round_trip(self, d):
+        """Hermitian -> (d*d - 1) coordinates plus trace -> Hermitian gives
+        the off-diagonal entries back bitwise (they are copies) and the
+        diagonal within 1 ulp of each matrix's largest diagonal entry (it
+        is tr(X) / d plus a sum over the diagonal G_a, so an entry near 0
+        can lose more of its own ulps to cancellation)."""
         rng = np.random.default_rng(d)
         raw = (rng.standard_normal((7, d, d))
                + 1j * rng.standard_normal((7, d, d)))
         x = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-        r = _to_real(x)
-        assert r.shape == (7, d * d) and r.dtype == np.float64
-        back = _from_real(r, d)
-        np.testing.assert_array_equal(back.view(np.int64), x.view(np.int64))
-        np.testing.assert_array_equal(_to_real(back).view(np.int64),
-                                      r.view(np.int64))
+        y = _coordinates(x)
+        assert y.shape == (7, d * d - 1) and y.dtype == np.float64
+        back = _matrices(y, np.trace(x, axis1=1, axis2=2).real, d)
+        off = ~np.eye(d, dtype=bool)
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(back[:, off]).view(np.int64),
+            np.ascontiguousarray(x[:, off]).view(np.int64))
+        diag = np.arange(d)
+        np.testing.assert_array_equal(back.imag[:, diag, diag], 0.0)
+        err = np.abs(back.real[:, diag, diag] - x.real[:, diag, diag])
+        largest = np.max(np.abs(x.real[:, diag, diag]), axis=1, keepdims=True)
+        assert np.all(err <= np.spacing(largest))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_structure_constants_are_totally_antisymmetric(self, d):
+        constants = _structure_constants(d)
+        assert constants.shape == (d * d - 1,) * 3
+        assert np.max(np.abs(constants)) > 0.5
+        for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+            np.testing.assert_array_equal(constants,
+                                          -constants.transpose(axes))
 
 
 class TestWeightedSets:
@@ -327,39 +348,39 @@ class TestRHS:
         return PCEState(coefficients=coeffs, t=0.3, basis=self.basis)
 
     def test_rhs_is_the_commutator_loop(self):
-        """One RHS in real coordinates is r(-i sum_n s_n [V, (M_n phi)_m]),
-        and it is traceless."""
+        """One RHS in traceless coordinates is y(-i sum_n s_n [V, (M_n phi)_m]),
+        and its K(t) is antisymmetric."""
         state = self._random_hermitian_state()
         t = 0.3
         s_vec = scaled_modes_matrix(self.kle.modes, self.model.kernel, [t])[:, 0]
         summed, modes = _summed_couplings(self.couplings)
-        y = _to_real(state.coefficients)
+        y = _coordinates(state.coefficients)
         x, out = np.empty((2,) + y.shape)
-        deriv = _rhs(summed, summed.data * s_vec[modes],
-                     _commutator_kernels(self.model, [t])[0], y, x, out)
+        kernel = _commutator_kernels(self.model, [t])[0]
+        deriv = _rhs(summed, summed.data * s_vec[modes], kernel, y, x, out)
         expected = galerkin_rhs_loop(rotating_frame_potential(self.model, t),
                                      s_vec, state.coefficients,
                                      self.couplings.mode_matrices)
-        np.testing.assert_allclose(deriv, _to_real(expected), rtol=0,
+        np.testing.assert_allclose(deriv, _coordinates(expected), rtol=0,
                                    atol=1e-13)
-        np.testing.assert_allclose(deriv[:, :2].sum(axis=1), 0.0, atol=1e-12)
+        np.testing.assert_array_equal(kernel, -kernel.T)
 
     def test_superoperator_is_the_commutator(self):
-        """r(X) @ K(t) is r(-i [V(t), X]).  A complex, non-diagonal 3x3 V has
+        """y(X) @ K(t) is y(-i [V(t), X]).  A complex, non-diagonal 3x3 V has
         no symmetry that would hide a transposed kernel or a swapped
         real/imaginary block."""
         model = make_model(OrnsteinUhlenbeckKernel(1.0, 1.0), h0=H0_3,
                            v=V_3)
         times = np.array([0.0, 0.17, 0.6])
         kernels = _commutator_kernels(model, times)
-        assert kernels.shape == (3, 9, 9) and kernels.dtype == np.float64
+        assert kernels.shape == (3, 8, 8) and kernels.dtype == np.float64
         rng = np.random.default_rng(11)
         raw = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
         xs = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
         for k, t in enumerate(times):
             v_t = rotating_frame_potential(model, t)
-            expected = _to_real(-1j * (v_t @ xs - xs @ v_t))
-            np.testing.assert_allclose(_to_real(xs) @ kernels[k], expected,
+            expected = _coordinates(-1j * (v_t @ xs - xs @ v_t))
+            np.testing.assert_allclose(_coordinates(xs) @ kernels[k], expected,
                                        rtol=0, atol=1e-14)
             np.testing.assert_array_equal(
                 _commutator_kernels(model, times[k:k + 1])[0], kernels[k])
@@ -380,8 +401,16 @@ class TestRHS:
         summed, _ = _summed_couplings(build_couplings(basis))
         summed.data = rng.standard_normal(summed.nnz)
         kernels = _commutator_kernels(model, 0.05 * np.arange(5))
-        y = rng.standard_normal((basis.size, model.dim ** 2))
+        y = rng.standard_normal((basis.size, model.dim ** 2 - 1))
         return summed, kernels, y
+
+    @pytest.mark.parametrize("name", ["fig2", "qutrit"])
+    def test_kernel_is_antisymmetric(self, name):
+        """K(t) is bitwise -K(t).T at every stage time, on fig2's V and on
+        the complex, non-diagonal qutrit V_3."""
+        _, kernels, _ = self._rhs_case(name)
+        assert np.max(np.abs(kernels)) > 0.1
+        np.testing.assert_array_equal(kernels, -kernels.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("name", ["fig2", "qutrit"])
