@@ -37,6 +37,11 @@ and the rest is operator dispatch and a fresh result array.  So each RK4
 stage writes into buffers allocated once per run of steps, and _rhs calls
 csr_matvecs on them directly: one RHS takes 5.2 us instead of 8.8 us.
 
+SciPy is imported only where a CSR matrix is built (build_couplings,
+_summed_couplings), so importing this module, and running the kle and mc
+commands, never loads it.  propagate binds csr_matvecs to the summed
+pattern once per call (_sparse_product) and hands that to every _rhs.
+
 The read-out functions (mean_state, observable_mean, observable_variance,
 trace_error, hermiticity_error, min_eigenvalue) take one PCEState or a
 sequence of them, min_eigenvalue a (d, d) matrix or a (T, d, d) stack, and
@@ -54,8 +59,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from .errors import (
     CapacityError,
@@ -169,6 +172,8 @@ def build_couplings(basis: MultiIndexSet) -> GalerkinCouplings:
     The raising entry of m and the lowering entry of m + e_n are the same
     sqrt, so every M_n equals its transpose bitwise.
     """
+    from scipy import sparse
+
     rows = [[] for _ in range(basis.s)]
     cols = [[] for _ in range(basis.s)]
     data = [[] for _ in range(basis.s)]
@@ -238,11 +243,6 @@ def _hermiticity_errors(coeffs: np.ndarray) -> np.ndarray:
     return np.max(np.sqrt(_squared_norms(dev)), axis=-1)
 
 
-def _weighted_norms(coeffs: np.ndarray) -> np.ndarray:
-    """sum_m ||phi_m||_F^2 of each stack in (..., N, d, d)."""
-    return np.sum(_squared_norms(coeffs), axis=-1)
-
-
 def _state_batch(states) -> tuple:
     """(records, batched): one PCEState as the batch of one, with batched
     False, or a nonempty sequence of them as a list, with batched True."""
@@ -300,7 +300,14 @@ def weighted_norm(state: PCEState) -> float:
     commutator with V is anti-Hermitian.  In the traceless coordinates y_m
     of propagate it is sum_m (2 ||y_m||^2 + tr(phi_m)^2 / d): the traces are
     constant, and symmetric M_n times antisymmetric K(t) keep the y part."""
-    return float(_weighted_norms(state.coefficients))
+    return float(np.sum(_squared_norms(state.coefficients)))
+
+
+def _coordinate_norms(y: np.ndarray, traces: np.ndarray, d: int) -> np.ndarray:
+    """weighted_norm from the traceless coordinates: sum_m (2 ||y_m||^2 +
+    tr(phi_m)^2 / d) of each (N, d*d - 1) stack in y, shape (..., N,
+    d*d - 1), with the (N,) traces that all stacks share."""
+    return 2 * np.einsum("...mi,...mi->...", y, y) + np.dot(traces, traces) / d
 
 
 @functools.lru_cache(maxsize=None)
@@ -376,6 +383,8 @@ def _summed_couplings(couplings: GalerkinCouplings):
     the M_n weights) and the mode of each entry; the data at a stage are
     then weights * s[mode].
     """
+    from scipy import sparse
+
     parts = [matrix.tocoo() for matrix in couplings.mode_matrices]
     rows = np.concatenate([part.row for part in parts])
     cols = np.concatenate([part.col for part in parts])
@@ -389,11 +398,23 @@ def _summed_couplings(couplings: GalerkinCouplings):
     return summed, modes[order]
 
 
-def _rhs(summed, data: np.ndarray, kernel: np.ndarray, y: np.ndarray,
+def _sparse_product(summed, width: int):
+    """summed's pattern bound to SciPy's csr_matvecs kernel: a function of
+    (data, x, out) that adds the matrix with entries data times x into out,
+    for float64 (N, width) arrays x and out."""
+    from scipy.sparse import _sparsetools
+
+    n = summed.shape[0]
+    return functools.partial(_sparsetools.csr_matvecs, n, n, width,
+                             summed.indptr, summed.indices)
+
+
+def _rhs(product, data: np.ndarray, kernel: np.ndarray, y: np.ndarray,
          x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """sum_n s_n M_n (Y K) on the real (N, d*d) coordinates Y, written into
-    out and returned; summed gives the pattern, data its entries
-    sum_n s_n M_n at the stage, and kernel is its K(t).  x receives Y K.
+    out and returned; product is the summed pattern's _sparse_product, data
+    its entries sum_n s_n M_n at the stage, and kernel is its K(t).  x
+    receives Y K.
 
     x and out are float64 (N, d*d) arrays, passed to the kernel whole: it
     works in place on C-contiguous ones and copies and writes back any
@@ -401,9 +422,7 @@ def _rhs(summed, data: np.ndarray, kernel: np.ndarray, y: np.ndarray,
     """
     np.matmul(y, kernel, out=x)
     out.fill(0.0)
-    n, width = out.shape
-    _sparsetools.csr_matvecs(n, n, width, summed.indptr, summed.indices, data,
-                             x, out)
+    product(data, x, out)
     return out
 
 
@@ -425,28 +444,28 @@ def _check_weighted_norm(norm: float, norm0: float, t: float) -> None:
             f"at t = {t!r}; reduce dt_max")
 
 
-def _rk4_steps(summed, kernels: np.ndarray, data: np.ndarray, h: float,
+def _rk4_steps(product, kernels: np.ndarray, data: np.ndarray, h: float,
                y: np.ndarray) -> None:
     """Classic RK4 steps of size h, advancing the real coordinates y in place.
 
-    kernels and data are K(t) and the summed matrix's data weight * s_n(t)
-    on the steps' 2 steps + 1 stages (their half-step grid).  The data are
-    pre-scaled by the stage factors (data is overwritten with its h/2
-    multiple), so the four _rhs calls of a step return a1 = (h/2) k1,
-    a2 = (h/2) k2, a3 = h k3 and a4 = (h/6) k4, and the step is
-    y + ((a1 + 2 a2 + a3) / 3 + a4), formed in that order.  Every stage
-    writes into the same six buffers, allocated once per call.
+    product is the summed matrix's _sparse_product.  kernels and data are
+    K(t) and its data weight * s_n(t) on the steps' 2 steps + 1 stages
+    (their half-step grid).  The data are pre-scaled by the stage factors
+    (data is overwritten with its h/2 multiple), so the four _rhs calls of
+    a step return a1 = (h/2) k1, a2 = (h/2) k2, a3 = h k3 and a4 = (h/6) k4,
+    and the step is y + ((a1 + 2 a2 + a3) / 3 + a4), formed in that order.
+    Every stage writes into the same six buffers, allocated once per call.
     """
     full, sixth = h * data[1::2], (h / 6) * data[2::2]
     half = np.multiply(data, h / 2, out=data)
     x, stage, a1, a2, a3, a4 = np.empty((6,) + y.shape)
     for j in range(len(full)):
-        _rhs(summed, half[2 * j], kernels[2 * j], y, x, a1)
-        _rhs(summed, half[2 * j + 1], kernels[2 * j + 1],
+        _rhs(product, half[2 * j], kernels[2 * j], y, x, a1)
+        _rhs(product, half[2 * j + 1], kernels[2 * j + 1],
              np.add(y, a1, out=stage), x, a2)
-        _rhs(summed, full[j], kernels[2 * j + 1],
+        _rhs(product, full[j], kernels[2 * j + 1],
              np.add(y, a2, out=stage), x, a3)
-        _rhs(summed, sixth[j], kernels[2 * j + 2],
+        _rhs(product, sixth[j], kernels[2 * j + 2],
              np.add(y, a3, out=stage), x, a4)
         increment = np.multiply(a2, 2, out=a2)
         np.add(a1, increment, out=increment)
@@ -508,8 +527,10 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     hermiticity hold by construction and only the weighted_norm check can
     see an integrator fault.  The input state is checked for trace and
     hermiticity drift before it is converted, and every record for
-    weighted-norm growth at the end of its block.  PropagationDivergedError
-    names the first failing time and the first check that fails there.
+    weighted-norm growth at the end of its block, with both norms taken
+    from the coordinates and the traces (_coordinate_norms).
+    PropagationDivergedError names the first failing time and the first
+    check that fails there.
     """
     if (couplings.basis is not state.basis
             and couplings.basis.indices != state.basis.indices):
@@ -542,10 +563,11 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     mode_weights[entry_modes, np.arange(summed.nnz)] = summed.data
     times = t_grid.tolist()
     _check_invariants(trace_error(state), hermiticity_error(state), times[0])
-    norm0 = weighted_norm(state)
     out = [PCEState(coefficients=state.coefficients, t=times[0], basis=basis)]
     traces = np.trace(state.coefficients, axis1=1, axis2=2).real
     y = _coordinates(state.coefficients)  # C order, like the stage buffers
+    product = _sparse_product(summed, d * d - 1)
+    norm0 = float(_coordinate_norms(y, traces, d))
     steps = [max(1, int(np.ceil((t1 - t0) / dt_max - 1e-12)))
              for t0, t1 in zip(times[:-1], times[1:])]
     sizes = [(t1 - t0) / n for t0, t1, n in zip(times[:-1], times[1:], steps)]
@@ -560,17 +582,17 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
             start = 0
             for i, first, stop in run:
                 stages = slice(start, start + 2 * (stop - first) + 1)
-                _rk4_steps(summed, kernels[stages],
+                _rk4_steps(product, kernels[stages],
                            s_stage[:, stages].T @ mode_weights, sizes[i], y)
                 if stop == steps[i]:
                     records[i - block.start] = y
                 start = stages.stop
-        coeffs = _matrices(records, traces, d)
         record_times = times[block.start + 1:block.stop + 1]
-        for t, norm in zip(record_times, _weighted_norms(coeffs).tolist()):
+        norms = _coordinate_norms(records, traces, d).tolist()
+        for t, norm in zip(record_times, norms):
             _check_weighted_norm(norm, norm0, t)
         out.extend(PCEState(coefficients=c, t=t, basis=basis)
-                   for c, t in zip(coeffs, record_times))
+                   for c, t in zip(_matrices(records, traces, d), record_times))
     return out
 
 

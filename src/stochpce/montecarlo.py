@@ -21,7 +21,6 @@ tracked observable's variance is a two-pass sum per batch, merged in batch
 order.
 """
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,6 +299,8 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
 
     executor = None
     if config.workers > 1:
+        import concurrent.futures
+
         executor = concurrent.futures.ThreadPoolExecutor(max_workers=config.workers)
     try:
         while n_used < config.n_traj and not converged:

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, CSV contracts, exit codes."""
+import json
 import os
 import subprocess
 import sys
@@ -509,6 +510,28 @@ sys.exit(target())
 """
 
 
+# The child process of TestEntryPoint._scipy_after_each.
+SCIPY_PROBE = """\
+import json
+import sys
+
+import stochpce.cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+after = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    code = stochpce.cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited with {code}")
+    after.append(scipy_modules())
+print(json.dumps(after))
+"""
+
+
 def child_env():
     """Environment for a child interpreter that imports this same stochpce."""
     env = dict(os.environ)
@@ -539,18 +562,58 @@ class TestEntryPoint:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
 
-    def test_cli_import_loads_no_heavy_scipy_subpackage(self):
-        """Start-up cost: importing the CLI pulls in scipy.sparse only, not
-        scipy.signal (nor the scipy.stats / scipy.interpolate it imports),
-        nor scipy.optimize, which the closed-form OU modes do without."""
-        heavy = ("scipy.optimize", "scipy.signal", "scipy.stats",
-                 "scipy.interpolate")
-        probe = ("import sys\nimport stochpce.cli\n"
-                 f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, env=child_env())
+    @staticmethod
+    def _scipy_after_each(argvs):
+        """In a fresh interpreter, import the CLI and run main(argv) for
+        each argv; returns the scipy modules loaded after the import and
+        after each command.  The test process has SciPy loaded already."""
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                               json.dumps(argvs)],
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "", proc.stdout
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_kle_and_mc_load_no_scipy(self, tmp_path):
+        """Start-up cost: SciPy is loaded only where a hierarchy is built, so
+        importing the CLI and running kle, and mc with either sampler, load
+        no scipy module at all."""
+        argvs = []
+        for sampler in ("exact_ou", "kle"):
+            text = TINY.replace("seed = 777", f"seed = 777\nsampler = {sampler}")
+            cfg = write_config(tmp_path, text, name=f"{sampler}.ini")
+            argvs.append(["mc", "--config", cfg, "--out",
+                          str(tmp_path / sampler), "--allow-unconverged"])
+        argvs.append(["kle", "--config", cfg, "--out", str(tmp_path / "kle")])
+        assert self._scipy_after_each(argvs) == [[], [], [], []]
+        assert (tmp_path / "exact_ou_mc.csv").exists()
+        assert (tmp_path / "kle_mc.csv").exists()
+
+    def test_pce_loads_scipy_sparse_and_matches_in_process(self, tmp_path):
+        cfg = write_config(tmp_path)
+        after = self._scipy_after_each(
+            [["pce", "--config", cfg, "--out", str(tmp_path / "child")]])
+        assert after[0] == [] and "scipy.sparse" in after[1]
+        assert main(["pce", "--config", cfg, "--out", str(tmp_path / "here")]) == 0
+        assert (stable_bytes(tmp_path / "child_pce.csv")
+                == stable_bytes(tmp_path / "here_pce.csv"))
+
+    def test_first_compare_timing_leaves_out_the_scipy_load(self, tmp_path):
+        """pce_seconds times the PCE solve, not the one-time SciPy load of a
+        fresh process: the first compare in a process reads within 0.1 s of
+        a second, warm one."""
+        cfg = write_config(tmp_path)
+        prefixes = [str(tmp_path / "first"), str(tmp_path / "second")]
+        after = self._scipy_after_each(
+            [["compare", "--config", cfg, "--out", prefix,
+              "--allow-unconverged"] for prefix in prefixes])
+        assert after[0] == [] and "scipy.sparse" in after[1]
+        seconds = []
+        for prefix in prefixes:
+            comments, _, _ = read_csv(f"{prefix}_compare.csv")
+            timing = next(c for c in comments if c.startswith("timing: "))
+            fields = dict(f.split("=") for f in timing.split()[1:])
+            seconds.append(float(fields["pce_seconds"]))
+        assert abs(seconds[0] - seconds[1]) <= 0.1, seconds
 
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -57,6 +57,7 @@ from stochpce.hierarchy import (
     _rhs,
     _rk4_steps,
     _runs,
+    _sparse_product,
     _structure_constants,
     _summed_couplings,
     hermiticity_error,
@@ -357,7 +358,8 @@ class TestRHS:
         y = _coordinates(state.coefficients)
         x, out = np.empty((2,) + y.shape)
         kernel = _commutator_kernels(self.model, [t])[0]
-        deriv = _rhs(summed, summed.data * s_vec[modes], kernel, y, x, out)
+        deriv = _rhs(_sparse_product(summed, y.shape[1]),
+                     summed.data * s_vec[modes], kernel, y, x, out)
         expected = galerkin_rhs_loop(rotating_frame_potential(self.model, t),
                                      s_vec, state.coefficients,
                                      self.couplings.mode_matrices)
@@ -420,8 +422,9 @@ class TestRHS:
         Fortran-ordered ones must still receive the result, not a copy."""
         summed, kernels, y = self._rhs_case(name)
         x, out = (np.full(y.shape, np.nan, order=order) for _ in range(2))
+        product = _sparse_product(summed, y.shape[1])
         for kernel in kernels:
-            got = _rhs(summed, summed.data, kernel, y, x, out)
+            got = _rhs(product, summed.data, kernel, y, x, out)
             assert got is out
             np.testing.assert_array_equal(got, summed @ (y @ kernel))
 
@@ -449,7 +452,7 @@ class TestRHS:
                          expected + a3)
             expected = expected + ((a1 + 2 * a2 + a3) / 3 + a4)
         got = y.copy()
-        _rk4_steps(summed, kernels, data, h, got)
+        _rk4_steps(_sparse_product(summed, y.shape[1]), kernels, data, h, got)
         np.testing.assert_array_equal(got, expected)
 
     @staticmethod
