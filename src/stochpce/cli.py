@@ -5,7 +5,7 @@ seed, frame convention, and a full echo of the resolved configuration, so a
 CSV is reproducible from its own header.  Volatile metadata (timestamp,
 wall-clock timings) lives only in lines starting with '# generated' or
 '# timing'; stripping those, two runs with the same config and seed produce
-byte-identical files regardless of worker count.
+byte-identical files.
 
 Exit codes: 0 success, 1 validation error, 2 numerical error, 3 Monte Carlo
 failed to reach its convergence target (suppressed by --allow-unconverged).
@@ -41,7 +41,7 @@ from .kle import (
     select_modes,
     solve_fredholm,
 )
-from .montecarlo import mc_average
+from .montecarlo import check_sampler, mc_average
 from .operators import expectation
 
 EXIT_OK = 0
@@ -233,6 +233,7 @@ def _cmd_mc(config: RunConfig, prefix: str, allow_unconverged: bool) -> int:
 
 def _cmd_compare(config: RunConfig, prefix: str, allow_unconverged: bool) -> int:
     model = config.build_model()
+    check_sampler(config.mc, model.kernel)
     rho0 = config.build_rho0()
     observable = config.build_observable()
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidOperatorError
 from .hierarchy import DEFAULT_SUBSTEP_FRACTION
 from .kle import OrnsteinUhlenbeckKernel, TabulatedKernel, default_candidate_count
 from .montecarlo import MAX_STEP_FRACTION, MCConfig
@@ -136,15 +136,16 @@ class RunConfig:
         if self.noise.kind == "ou":
             return OrnsteinUhlenbeckKernel(alpha=self.noise.alpha,
                                            tau_c=self.noise.tau_c)
-        values = np.loadtxt(self.noise.table)
-        return TabulatedKernel(values=values, spacing=self.noise.spacing)
+        try:
+            values = np.loadtxt(self.noise.table)
+            return TabulatedKernel(values=values, spacing=self.noise.spacing)
+        except ValueError as exc:
+            raise ConfigError(f"'table' file {self.noise.table}: {exc}") from None
 
-    def build_model(self, kernel=None) -> StochasticModel:
-        if kernel is None:
-            kernel = self.build_kernel()
+    def build_model(self) -> StochasticModel:
         return StochasticModel(h0=parse_operator(self.model.h0),
                                v=parse_operator(self.model.v),
-                               kernel=kernel, horizon=self.model.tau)
+                               kernel=self.build_kernel(), horizon=self.model.tau)
 
     def build_rho0(self) -> np.ndarray:
         return validate_density_matrix(parse_operator(self.model.rho0))
@@ -280,12 +281,21 @@ def _split_sections(text: str) -> dict:
     return sections
 
 
-def _check_operator_shape(key: str, shape: tuple, h0_shape: tuple,
-                          line: int | None) -> None:
-    if shape != h0_shape:
+def _check_operator(key: str, spec: str, h0_shape: tuple | None,
+                    line: int | None) -> tuple:
+    """Shape of the operator spec, which must have h0's shape (h0_shape is
+    None for h0 itself), be Hermitian and, for rho0, be a density matrix."""
+    matrix = parse_operator(spec, line)
+    shape = h0_shape or matrix.shape
+    if matrix.shape != shape:
         raise ConfigError(
-            f"'{key}' is {shape[0]}x{shape[1]} but h0 is "
-            f"{h0_shape[0]}x{h0_shape[1]}", line)
+            f"'{key}' is {matrix.shape[0]}x{matrix.shape[1]} but h0 is "
+            f"{shape[0]}x{shape[1]}", line)
+    try:
+        (validate_density_matrix if key == "rho0" else check_hermitian)(matrix)
+    except InvalidOperatorError as exc:
+        raise ConfigError(f"'{key}' {exc}", line) from None
+    return shape
 
 
 def parse_config(text: str) -> RunConfig:
@@ -309,11 +319,10 @@ def parse_config(text: str) -> RunConfig:
     v = model_s.get_str("v", required=True)
     tau = model_s.get_float("tau", required=True, positive=True)
     rho0 = model_s.get_str("rho0", default="0.5*id + 0.5*sx")
-    shapes = {}
+    h0_shape = None
     for key, spec in (("h0", h0), ("v", v), ("rho0", rho0)):
         _, line = model_s.raw(key)
-        shapes[key] = parse_operator(spec, line).shape
-        _check_operator_shape(key, shapes[key], shapes["h0"], line)
+        h0_shape = _check_operator(key, spec, h0_shape, line)
     model = ModelConfig(h0=h0, v=v, tau=tau, rho0=rho0)
 
     kind = noise_s.get_str("kind", default="ou", choices={"ou", "tabulated"})
@@ -372,15 +381,18 @@ def parse_config(text: str) -> RunConfig:
                                            choices={"exact_ou", "kle"}),
                       batch=mc_s.get_int("batch", default=500, minimum=1),
                       stderr_target=mc_s.get_float("stderr_target", default=5e-3,
-                                                   positive=True),
-                      workers=mc_s.get_int("workers", default=1, minimum=1))
+                                                   positive=True))
     except ValueError as exc:
         raise ConfigError(f"invalid [mc] section: {exc}") from None
+    # legacy: the benchmark's run files still carry 'workers = 1' (ROADMAP item 8)
+    workers, line = mc_s.raw("workers", default="1")
+    if workers != "1":
+        raise ConfigError("'workers' was removed, Monte Carlo runs in one "
+                          "thread; only 'workers = 1' is still accepted", line)
 
     observable = output_s.get_str("observable", default="sx")
     _, line = output_s.raw("observable")
-    _check_operator_shape("observable", parse_operator(observable, line).shape,
-                          shapes["h0"], line)
+    _check_operator("observable", observable, h0_shape, line)
     output = OutputConfig(prefix=output_s.get_str("prefix", default="run"),
                           observable=observable)
 

@@ -294,19 +294,15 @@ def hermiticity_error(states):
     return unstack(_blockwise(records, _hermiticity_errors), batched)
 
 
-def weighted_norm(state: PCEState) -> float:
-    """sum_m ||phi_m||_F^2 = E ||rho(xi)||_F^2, which the truncated Galerkin
-    flow conserves exactly: every coupling matrix M_n is symmetric and the
-    commutator with V is anti-Hermitian.  In the traceless coordinates y_m
-    of propagate it is sum_m (2 ||y_m||^2 + tr(phi_m)^2 / d): the traces are
-    constant, and symmetric M_n times antisymmetric K(t) keep the y part."""
-    return float(np.sum(_squared_norms(state.coefficients)))
-
-
 def _coordinate_norms(y: np.ndarray, traces: np.ndarray, d: int) -> np.ndarray:
-    """weighted_norm from the traceless coordinates: sum_m (2 ||y_m||^2 +
-    tr(phi_m)^2 / d) of each (N, d*d - 1) stack in y, shape (..., N,
-    d*d - 1), with the (N,) traces that all stacks share."""
+    """The weighted norm sum_m ||phi_m||_F^2 = E ||rho(xi)||_F^2 from the
+    traceless coordinates: sum_m (2 ||y_m||^2 + tr(phi_m)^2 / d) of each
+    (N, d*d - 1) stack in y, shape (..., N, d*d - 1), with the (N,) traces
+    that all stacks share.
+
+    The truncated Galerkin flow conserves it exactly: the traces are
+    constant, and every coupling matrix M_n is symmetric while K(t) is
+    antisymmetric, so the y part keeps its length."""
     return 2 * np.einsum("...mi,...mi->...", y, y) + np.dot(traces, traces) / d
 
 
@@ -524,7 +520,7 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     interval or run and pre-scaled by the RK4 stage factors h/2, h and h/6
     (_rk4_steps).  The block's records are converted back to Hermitian
     matrices together (_matrices), with their input traces, so trace and
-    hermiticity hold by construction and only the weighted_norm check can
+    hermiticity hold by construction and only the weighted-norm check can
     see an integrator fault.  The input state is checked for trace and
     hermiticity drift before it is converted, and every record for
     weighted-norm growth at the end of its block, with both norms taken

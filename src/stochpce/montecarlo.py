@@ -15,17 +15,16 @@ the same arithmetic in any block: the OU recursion acts elementwise per
 row, the stepper's phase is elementwise and its basis change is a per-row
 einsum product, and KLE paths are per-row products.  So a path, and
 every result, is bit-identical for a given (seed, config) regardless of
-execution order, block size or worker count.  Accumulation reduces each
-batch in a single fixed-order sum and then folds batches in index order; the
-tracked observable's variance is a two-pass sum per batch, merged in batch
-order.
+block size.  Accumulation reduces each batch in a single fixed-order sum and
+then folds batches in index order; the tracked observable's variance is a
+two-pass sum per batch, merged in batch order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError
 from .kle import OrnsteinUhlenbeckKernel, TruncatedKLE, scaled_modes_matrix
 from .operators import (
     SIGMA_X,
@@ -63,7 +62,6 @@ class MCConfig:
     sampler: str = "exact_ou"
     batch: int = 500
     stderr_target: float = DEFAULT_STDERR_TARGET
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_traj < 2:
@@ -78,8 +76,6 @@ class MCConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not (self.stderr_target > 0):
             raise ValueError(f"stderr_target must be positive, got {self.stderr_target}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +205,16 @@ class _TrajectoryStepper:
                 sigma = np.einsum("bm,mn->bn", x, self.basis_change)
 
 
+def check_sampler(config: MCConfig, kernel) -> None:
+    """Raise ConfigError if config's sampler cannot draw kernel's noise: the
+    exact_ou recursion needs an Ornstein-Uhlenbeck kernel."""
+    if config.sampler == "exact_ou" and not isinstance(kernel,
+                                                        OrnsteinUhlenbeckKernel):
+        raise ConfigError(f"sampler = exact_ou draws Ornstein-Uhlenbeck noise "
+                          f"only, not a {type(kernel).__name__}; set "
+                          f"sampler = kle in [mc]")
+
+
 def _resolve_step_grid(model: StochasticModel, config: MCConfig,
                        t_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Uniform propagation grid with step <= config.dt, aligned to the output times."""
@@ -231,6 +237,7 @@ class _EnsembleEngine:
     def __init__(self, model: StochasticModel, rho0: np.ndarray,
                  config: MCConfig, t_out: np.ndarray, observable: np.ndarray,
                  kle: TruncatedKLE | None):
+        check_sampler(config, model.kernel)
         self.kernel = model.kernel
         self.seed = config.seed
         self.rho0 = rho0
@@ -275,8 +282,8 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
     max-over-time standard error of the observable is tested against
     config.stderr_target and the run stops early once it is met.  Mean states
     are in the Schrodinger frame, like the stepper's.  The result is
-    a pure function of (model, rho0, config, t_grid, observable): worker
-    threads only split a batch into blocks, never reorder the reduction.
+    a pure function of (model, rho0, config, t_grid, observable): blocks
+    only split a batch, never reorder the reduction.
     """
     rho0 = validate_density_matrix(rho0)
     observable = check_hermitian(observable)
@@ -297,44 +304,26 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
     n_used = 0
     converged = False
 
-    executor = None
-    if config.workers > 1:
-        import concurrent.futures
+    while n_used < config.n_traj and not converged:
+        batch_n = min(config.batch, config.n_traj - n_used)
+        batch_rho = np.empty((batch_n, n_out, d, d), dtype=complex)
+        batch_obs = np.empty((batch_n, n_out))
+        for start in range(0, batch_n, BLOCK_SIZE):
+            stop = min(start + BLOCK_SIZE, batch_n)
+            engine.run_block(range(n_used + start, n_used + stop),
+                             batch_rho[start:stop], batch_obs[start:stop])
 
-        executor = concurrent.futures.ThreadPoolExecutor(max_workers=config.workers)
-    try:
-        while n_used < config.n_traj and not converged:
-            batch_n = min(config.batch, config.n_traj - n_used)
-            batch_rho = np.empty((batch_n, n_out, d, d), dtype=complex)
-            batch_obs = np.empty((batch_n, n_out))
+        # fixed-order reduction over the batch axis
+        sum_rho += np.sum(batch_rho, axis=0)
+        if shift is None:
+            shift = batch_obs[0].copy()
+        deviations = np.subtract(batch_obs.T, shift[:, None], order="C")
+        mean_dev, m2_obs = _merge_moments(mean_dev, m2_obs, n_used, deviations)
+        n_used += batch_n
 
-            def run_block(start):
-                stop = min(start + BLOCK_SIZE, batch_n)
-                engine.run_block(range(n_used + start, n_used + stop),
-                                 batch_rho[start:stop], batch_obs[start:stop])
-
-            starts = range(0, batch_n, BLOCK_SIZE)
-            if executor is None:
-                for start in starts:
-                    run_block(start)
-            else:
-                list(executor.map(run_block, starts))
-
-            # fixed-order reduction over the batch axis
-            sum_rho += np.sum(batch_rho, axis=0)
-            if shift is None:
-                shift = batch_obs[0].copy()
-            deviations = np.subtract(batch_obs.T, shift[:, None], order="C")
-            mean_dev, m2_obs = _merge_moments(mean_dev, m2_obs, n_used,
-                                              deviations)
-            n_used += batch_n
-
-            if n_used >= 2:
-                stderr = _stderr(m2_obs, n_used)
-                converged = bool(np.max(stderr) <= config.stderr_target)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        if n_used >= 2:
+            stderr = _stderr(m2_obs, n_used)
+            converged = bool(np.max(stderr) <= config.stderr_target)
 
     return MCEnsemble(times=engine.t_grid[engine.record_idx],
                       mean_rho=sum_rho / n_used,

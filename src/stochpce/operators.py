@@ -22,7 +22,6 @@ from .errors import (
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-10
 TRACE_IMAG_TOL = 1e-12
-UNITARY_TOL = 1e-10
 EXPECTATION_IMAG_TOL = 1e-10
 POSITIVITY_TOL = -1e-9
 
@@ -70,7 +69,7 @@ def validate_density_matrix(rho) -> np.ndarray:
     rho = check_hermitian(rho)
     tr = np.trace(rho)
     if not (abs(tr.real - 1.0) <= TRACE_TOL):
-        raise InvalidOperatorError(f"density matrix trace {tr.real!r} not 1 within {TRACE_TOL:.1e}")
+        raise InvalidOperatorError(f"density matrix trace {float(tr.real)!r} not 1 within {TRACE_TOL:.1e}")
     if not (abs(tr.imag) <= TRACE_IMAG_TOL):
         raise InvalidOperatorError(f"density matrix trace has imaginary part {tr.imag:.3e}")
     eigs = np.linalg.eigvalsh(rho)

@@ -414,3 +414,10 @@ def galerkin_weight_quadrature(m, mode_j: int, l, q0, q1) -> float:
         table = q1 if j == mode_j else q0
         out *= table[mj, lj]
     return float(out)
+
+
+def weighted_norm(state) -> float:
+    """sum_m ||phi_m||_F^2 = E ||rho(xi)||_F^2 of a PCEState, summed over its
+    complex coefficients; propagate computes the same norm from its real
+    traceless coordinates."""
+    return float(np.sum(np.abs(state.coefficients) ** 2))

@@ -2,9 +2,10 @@
 
 The benchmark wraps names that stochpce.cli imports, times the PCE read-out
 as the calls to its OBSERVABLES names, reads the coupling matrices
-propagate is given and counts 4 hierarchy._rhs calls per RK4 step; a
-refactor that breaks any of these would break the traced run without
-failing any other test.  This only reads perfbench/.
+propagate is given and counts 4 hierarchy._rhs calls per RK4 step, and
+its set-up loads each workload's run file; a refactor that breaks any of
+these would break the benchmark without failing any other test.  This only
+reads perfbench/.
 """
 import importlib.util
 import os
@@ -25,7 +26,7 @@ from stochpce import (
     initial_pce_state,
     propagate,
 )
-from stochpce.config import RunConfig
+from stochpce.config import RunConfig, load_config
 from stochpce.kle import select_modes, solve_fredholm
 
 RUN_FILE = """\
@@ -49,15 +50,31 @@ dt_max = 0.002
 output_points = 41
 """
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name):
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
+
+
+def test_workload_run_files_load(tmp_path):
+    """Each workload's run file parses and builds its model, initial state
+    and observable, as the benchmark worker's set-up and the CLI do."""
+    workloads = load_perfbench("workloads")
+    for name in workloads.WORKLOADS:
+        config = load_config(workloads.write_config(name, str(tmp_path)))
+        config.build_model()
+        config.build_rho0()
+        config.build_observable()
 
 
 def test_traced_names_exist():

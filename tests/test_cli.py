@@ -10,7 +10,14 @@ import pytest
 
 import stochpce
 from oracles import nystrom_row_loop, pce_curve_loop
-from stochpce import OrnsteinUhlenbeckKernel, cli, hierarchy, parse_config
+from stochpce import (
+    OrnsteinUhlenbeckKernel,
+    StochPCEError,
+    cli,
+    hierarchy,
+    mc_average,
+    parse_config,
+)
 from stochpce.cli import main
 from stochpce.config import format_float, load_config
 
@@ -318,6 +325,29 @@ class TestMCCommand:
         main(["mc", "--config", cfg, "--out", b])
         assert stable_bytes(f"{a}_mc.csv") == stable_bytes(f"{b}_mc.csv")
 
+    def test_tabulated_kernel_needs_the_kle_sampler(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """The default exact_ou sampler cannot draw a tabulated kernel: mc
+        and compare stop with a validation error before any propagation and
+        write no file, mc_average raises a typed error, and kle and pce on
+        the same file still run."""
+        cfg = write_tabulated_config(tmp_path)
+        prefix = str(tmp_path / "out")
+        calls = count_calls(monkeypatch, ("_solve_modes", "propagate"))
+        for command in ("mc", "compare"):
+            assert main([command, "--config", cfg, "--out", prefix]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: sampler = exact_ou")
+            assert "set sampler = kle" in err
+            assert not os.path.exists(f"{prefix}_{command}.csv")
+        assert calls == []
+        config = load_config(cfg)
+        with pytest.raises(StochPCEError, match="sampler = kle"):
+            mc_average(config.build_model(), config.build_rho0(), config.mc,
+                       config.output_times())
+        for command in ("kle", "pce"):
+            assert main([command, "--config", cfg, "--out", prefix]) == 0
+
 
 class TestCompareCommand:
     def test_writes_comparison_with_summary(self, tmp_path):
@@ -414,6 +444,19 @@ class TestSweepCommand:
         assert table[(2, 1)][1] >= 0.0
 
 
+# What the error says for each bad run file of test_operator_dimension_mismatch
+# that is not a shape mismatch.
+BAD_RUN_FILE_ERRORS = {
+    "h0 = matrix [[0, 1], [0, 0]]": "operator not Hermitian",
+    "tau = 1.0\nrho0 = 0.5*id + 0.6*sx": "density matrix has negative eigenvalue",
+    "tau = 1.0\nrho0 = 2*sx": "density matrix trace 0.0 not 1",
+    "kind = tabulated\ntable = words.txt\nspacing = 0.1":
+        "words.txt: could not convert string 'abc' to float",
+    "kind = tabulated\ntable = one.txt\nspacing = 0.1":
+        "one.txt: tabulated kernel needs a 1-D array of >= 2 values",
+}
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["pce", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -430,18 +473,36 @@ class TestExitCodes:
          "tau = 1.0\nrho0 = matrix [[1, 0, 0], [0, 0, 0], [0, 0, 0]]", 5),
         ("observable", "observable = sx",
          "observable = matrix [[1, 0, 0], [0, 0, 0], [0, 0, 0]]", 29),
+        pytest.param("h0", "h0 = sx", "h0 = matrix [[0, 1], [0, 0]]", 2,
+                     id="h0-not-hermitian"),
+        pytest.param("rho0", "tau = 1.0", "tau = 1.0\nrho0 = 0.5*id + 0.6*sx",
+                     5, id="rho0-negative-eigenvalue"),
+        pytest.param("rho0", "tau = 1.0", "tau = 1.0\nrho0 = 2*sx", 5,
+                     id="rho0-trace-zero"),
+        pytest.param("table", "alpha = 0.4\ntau_c = 10.0",
+                     "kind = tabulated\ntable = words.txt\nspacing = 0.1", None,
+                     id="table-not-a-number"),
+        pytest.param("table", "alpha = 0.4\ntau_c = 10.0",
+                     "kind = tabulated\ntable = one.txt\nspacing = 0.1", None,
+                     id="table-one-value"),
     ])
     def test_operator_dimension_mismatch(self, tmp_path, capsys, key, old, new,
                                          line):
-        """A 3x3 operator next to a 2x2 h0 is a validation error with the
-        offending key's line, for every command that builds the model."""
+        """A bad operator (3x3 next to a 2x2 h0, not Hermitian, or an rho0
+        that is no density matrix) is a validation error with the offending
+        key's line, and a bad noise table one that names its file, for every
+        command that builds the model."""
+        (tmp_path / "words.txt").write_text("0.16\nabc\n")
+        (tmp_path / "one.txt").write_text("0.16\n")
         cfg = write_config(tmp_path, TINY.replace(old, new))
         for command in ("pce", "mc", "compare"):
             assert main([command, "--config", cfg,
                          "--out", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
-            assert "config error" in err
-            assert f"line {line}: '{key}' is 3x3 but h0 is 2x2" in err
+            where = f"line {line}: " if line is not None else ""
+            assert err.startswith(f"config error: {where}'{key}' ")
+            assert BAD_RUN_FILE_ERRORS.get(new, "is 3x3 but h0 is 2x2") in err
+            assert not os.path.exists(tmp_path / f"out_{command}.csv")
 
     def test_numerical_error(self, tmp_path, capsys):
         """A tabulated kernel violating C(0) >= |C(lag)| fails positivity."""

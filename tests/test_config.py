@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stochpce import ConfigError, RunConfig, parse_config
+from stochpce.cli import main
 from stochpce.config import emit_config, load_config, parse_operator
 
 MINIMAL = """\
@@ -76,7 +77,6 @@ class TestParsing:
         assert config.mc.sampler == "exact_ou"
         assert config.mc.batch == 500
         assert config.mc.stderr_target == pytest.approx(5e-3)
-        assert config.mc.workers == 1
         assert config.output.prefix == "run"
         assert config.output.observable == "sx"
         assert config.sweep.p_values == (1, 3, 5, 7, 9)
@@ -148,6 +148,23 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.line == 2
+
+    def test_legacy_workers_line(self, tmp_path, capsys):
+        """'workers = 1' is still accepted and changes nothing; any other
+        value is a line-numbered validation error (exit 1)."""
+        text = MINIMAL + "\n[mc]\nseed = 7\n"
+        legacy = text + "workers = 1\n"
+        assert parse_config(legacy) == parse_config(text)
+        with pytest.raises(ConfigError, match="'workers' was removed") as err:
+            parse_config(text + "workers = 2\n")
+        assert err.value.line == len(legacy.splitlines())
+        path = tmp_path / "run.ini"
+        path.write_text(text + "workers = 2\n")
+        assert main(["mc", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"line {err.value.line}: 'workers' was removed" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out_mc.csv").exists()
 
     def test_mc_dt_cap(self):
         with pytest.raises(ConfigError, match="tau/100"):

@@ -21,6 +21,7 @@ from oracles import (
     hermite_moment_tables,
     pce_curve_loop,
     static_ensemble_sx,
+    weighted_norm,
 )
 from stochpce import (
     IDENTITY,
@@ -66,7 +67,6 @@ from stochpce.hierarchy import (
     observable_mean,
     observable_variance,
     trace_error,
-    weighted_norm,
 )
 from stochpce.kle import (
     cumulative_rates,

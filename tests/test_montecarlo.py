@@ -80,7 +80,6 @@ class TestMCConfig:
         config = MCConfig(n_traj=100, dt=0.01, seed=7)
         assert config.sampler == "exact_ou"
         assert config.batch == 500
-        assert config.workers == 1
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_traj=1, dt=0.01, seed=1),
@@ -90,7 +89,7 @@ class TestMCConfig:
         dict(n_traj=10, dt=0.01, seed=1, sampler="bogus"),
         dict(n_traj=10, dt=0.01, seed=1, batch=0),
         dict(n_traj=10, dt=0.01, seed=1, stderr_target=0.0),
-        dict(n_traj=10, dt=0.01, seed=1, workers=0),
+        dict(n_traj=10, dt=float("nan"), seed=1),
         dict(n_traj=10, dt=0.01, seed=1, stderr_target=float("nan")),
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -348,37 +347,36 @@ class TestEnsemble:
         c = mc_average(model, RHO_PLUS_X, other, t_out)
         assert not np.array_equal(a.mean_rho, c.mean_rho)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        """Threads split a batch into blocks but never reorder the reduction,
-        so the ensemble is bitwise identical for any worker count and block
-        size, with either sampler."""
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        """Blocks split a batch but never reorder the reduction, so the
+        ensemble is bitwise identical to stepping each batch as one block,
+        for any block size, with either sampler."""
         model = make_model()
         modes = solve_fredholm(model.kernel, 1.0, 200, 12)
         kle = select_modes(modes, cumulative_rates(modes, model), 3)
         t_out = np.linspace(0.0, 1.0, 6)
         cases = [
-            dict(n_traj=90, batch=30, workers=3),
-            # 290 is a multiple of neither the block size nor the worker count
-            dict(n_traj=580, batch=290, workers=3),
-            dict(n_traj=580, batch=290, workers=2, block_size=7),
+            dict(n_traj=90, batch=30, block_size=7),
+            # 290 is not a multiple of the block size
+            dict(n_traj=580, batch=290),
+            dict(n_traj=580, batch=290, block_size=7),
         ]
         for sampler in ("exact_ou", "kle"):
             for case in cases:
                 case = dict(case)
                 block_size = case.pop("block_size", montecarlo.BLOCK_SIZE)
-                workers = case.pop("workers")
-                base = dict(case, dt=0.01, seed=13, sampler=sampler,
-                            stderr_target=1e-12)
-                serial = mc_average(model, RHO_PLUS_X, MCConfig(**base, workers=1),
-                                    t_out, kle=kle)
-                with monkeypatch.context() as patch:
-                    patch.setattr(montecarlo, "BLOCK_SIZE", block_size)
-                    threaded = mc_average(model, RHO_PLUS_X,
-                                          MCConfig(**base, workers=workers),
-                                          t_out, kle=kle)
-                np.testing.assert_array_equal(serial.mean_rho, threaded.mean_rho)
-                np.testing.assert_array_equal(serial.stderr_obs, threaded.stderr_obs)
-                assert serial.n_used == threaded.n_used == case["n_traj"]
+                config = MCConfig(**case, dt=0.01, seed=13, sampler=sampler,
+                                  stderr_target=1e-12)
+                runs = []
+                for size in (config.batch, block_size):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(montecarlo, "BLOCK_SIZE", size)
+                        runs.append(mc_average(model, RHO_PLUS_X, config, t_out,
+                                               kle=kle))
+                whole, blocked = runs
+                np.testing.assert_array_equal(whole.mean_rho, blocked.mean_rho)
+                np.testing.assert_array_equal(whole.stderr_obs, blocked.stderr_obs)
+                assert whole.n_used == blocked.n_used == case["n_traj"]
 
     def test_stderr_scales_inverse_sqrt(self):
         """Quadrupling the trajectory budget halves the standard error;
