@@ -85,8 +85,7 @@ def _header(config: RunConfig, command: str) -> list[str]:
     lines = [f"stochpce {__version__}",
              f"command: {command}",
              f"seed: {config.mc.seed}",
-             "frame: outputs are Schrodinger-frame; the hierarchy integrates in "
-             "the H0 rotating frame and is back-transformed before reporting",
+             "frame: outputs are Schrodinger-frame",
              "config:"]
     lines += [f"  {line}" for line in emit_config(config).splitlines()]
     return lines
@@ -135,9 +134,9 @@ def _pce_curve(config: RunConfig, model, rho0, observable, kle, couplings):
     t_out = config.output_times()
     states = propagate(state0, model, kle, couplings, t_out,
                        dt_max=config.pce.dt_max)
-    rho = mean_state(states, model)
+    rho = mean_state(states)
     return {"times": t_out, "mean": expectation(observable, rho),
-            "variance": observable_variance(states, observable, model),
+            "variance": observable_variance(states, observable),
             "trace_err": trace_error(states),
             "herm_err": hermiticity_error(states),
             "min_eig": min_eigenvalue(rho), "n_equations": basis.size}

@@ -5,12 +5,12 @@ polynomials psi_m(xi) = prod_j He_{m_j}(xi_j) / sqrt(m_j!) of the S
 Karhunen-Loeve variables, over a downward-closed set of
 N multi-indices (enumerate_indices builds the total-degree set |m|_1 <= P,
 of size (S+P)!/(S!P!); any other downward-closed set works the same way).
-Galerkin projection of the rotating-frame evolution turns the stochastic
+Galerkin projection of the Schrodinger-frame evolution turns the stochastic
 equation into N coupled deterministic operator ODEs
 
-    d phi_m / dt = -i sum_n sqrt(lambda_n) g_n(t) sum_l G_{m,n,l} [V(t), phi_l]
+    d phi_m / dt = -i [h0, phi_m] - i sum_n s_n(t) sum_l G_{m,n,l} [v, phi_l]
 
-where the coupling tensor G_{m,n,l} = E[psi_m xi_n psi_l] has the closed form
+where s_n = sqrt(lambda_n) g_n and G_{m,n,l} = E[psi_m xi_n psi_l] has the closed form
 G_{m,n,l} = (sqrt(m_n + 1) delta_{m_n+1, l_n} + sqrt(m_n) delta_{m_n-1, l_n})
             prod_{j != n} delta_{m_j, l_j},
 so each coefficient couples to at most 2 S partners: the lowered ones are
@@ -20,22 +20,20 @@ symmetric in m and l.
 The stochastic mean is exactly phi_0 (all higher Hermite polynomials have
 zero mean); observable variance falls out of orthonormality for free.
 
-Every phi_m is Hermitian (G is real and the flow is -i[V, .]) and keeps its
+Every phi_m is Hermitian (G is real and the flow is -i[H, .]) and keeps its
 trace, so the integrator carries each as its d*d - 1 real coordinates
 y_a = tr(G_a phi_m) / 2 in the generalized Gell-Mann matrices G_a
 (_traceless_basis), and its trace as a constant.  In these coordinates
--i[V(t), .] is a real antisymmetric (d*d - 1, d*d - 1) matrix K(t).
+-i[h0, .] and -i[v, .] are constant real antisymmetric matrices L0 and Lv.
 The per-mode coupling matrices M_n have disjoint
-patterns (M_n[m, l] != 0 only for l = m +- e_n), so sum_n s_n(t) M_n is one
+patterns (M_n[m, l] != 0 only for l = m +- e_n), so they and the drift fit one
 CSR matrix whose pattern never changes.  Public states stay complex (N, d, d).
 
 One RHS is then one small dense product and one sparse product, and at these
-sizes their cost is mostly call overhead.  On the fig2 preset (N = 220, 990
-summed entries, d*d - 1 = 3 columns; 2-vCPU Xeon host, best of timeit
-rounds) `summed @ x` takes 7 us, of which SciPy's csr_matvecs kernel is 4 us
-and the rest is operator dispatch and a fresh result array.  So each RK4
-stage writes into buffers allocated once per run of steps, and _rhs calls
-csr_matvecs on them directly: one RHS takes 5.2 us instead of 8.8 us.
+sizes their cost is mostly call overhead.  So each RK4 stage writes into
+buffers allocated once per run of steps, and _rhs calls SciPy's
+csr_matvecs kernel on them directly rather than the matrix's `@`, which
+adds operator dispatch and a fresh result array.
 
 SciPy is imported only where a CSR matrix is built (build_couplings,
 _summed_couplings), so importing this module, and running the kle and mc
@@ -72,13 +70,12 @@ from .operators import (
     as_operator_stack,
     check_hermitian,
     expectation,
-    frame_rotations,
-    rotating_frame_potential,
     unstack,
     validate_density_matrix,
 )
 
 MAX_BASIS_SIZE = 10_000_000
+MAX_RK4_STEPS = 100_000_000  # per propagate call
 TRACE_CONSERVATION_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 WEIGHTED_NORM_TOL = 1e-8
@@ -194,7 +191,7 @@ def build_couplings(basis: MultiIndexSet) -> GalerkinCouplings:
 
 @dataclass(frozen=True, eq=False)
 class PCEState:
-    """The N operator-valued coefficients phi_m at one instant, rotating frame."""
+    """The N operator-valued coefficients phi_m at one instant, Schrodinger frame."""
 
     coefficients: np.ndarray  # (N, d, d) complex
     t: float
@@ -254,15 +251,15 @@ def _state_batch(states) -> tuple:
     return records, True
 
 
-def _blockwise(records: list, reduce, *per_record) -> np.ndarray:
-    """reduce(coeffs, *args) on the records in blocks of BLOCK_SIZE,
-    concatenated along the first axis.
+def _blockwise(records: list, reduce) -> np.ndarray:
+    """reduce(coeffs) on the records in blocks of BLOCK_SIZE, concatenated
+    along the first axis.
 
-    coeffs is a block's stacked (B, N, d, d) coefficients and args are the
-    block's slices of the per_record arrays.  reduce must treat each record
-    on its own, so the result does not depend on the blocking.  Only one
-    block's copy of the coefficients is live at a time: a read-out of all
-    records then needs no more memory than propagate's records of a block.
+    coeffs is a block's stacked (B, N, d, d) coefficients.  reduce must
+    treat each record on its own, so the result does not depend on the
+    blocking.  Only one block's copy of the coefficients is live at a time:
+    a read-out of all records then needs no more memory than propagate's
+    records of a block.
     """
     basis = records[0].basis
     if any(r.basis is not basis and r.basis.indices != basis.indices
@@ -270,9 +267,8 @@ def _blockwise(records: list, reduce, *per_record) -> np.ndarray:
         raise DimensionMismatchError("the states of a batch use different bases")
     parts = []
     for first in range(0, len(records), BLOCK_SIZE):
-        block = slice(first, first + BLOCK_SIZE)
-        coeffs = np.stack([r.coefficients for r in records[block]])
-        parts.append(reduce(coeffs, *(a[block] for a in per_record)))
+        coeffs = np.stack([r.coefficients for r in records[first:first + BLOCK_SIZE]])
+        parts.append(reduce(coeffs))
     return np.concatenate(parts)
 
 
@@ -301,8 +297,8 @@ def _coordinate_norms(y: np.ndarray, traces: np.ndarray, d: int) -> np.ndarray:
     that all stacks share.
 
     The truncated Galerkin flow conserves it exactly: the traces are
-    constant, and every coupling matrix M_n is symmetric while K(t) is
-    antisymmetric, so the y part keeps its length."""
+    constant, and every coupling matrix M_n is symmetric while L0 and Lv
+    are antisymmetric, so the y part keeps its length."""
     return 2 * np.einsum("...mi,...mi->...", y, y) + np.dot(traces, traces) / d
 
 
@@ -356,67 +352,68 @@ def _structure_constants(d: int) -> np.ndarray:
     return constants
 
 
-def _commutator_kernels(model: StochasticModel, times) -> np.ndarray:
-    """K(t), shape (T, d*d - 1, d*d - 1): the real antisymmetric matrix with
-    y(X) @ K(t) = y(-i [V(t), X]) for Hermitian X, where y is _coordinates.
+def _commutator_matrix(op: np.ndarray) -> np.ndarray:
+    """L, shape (d*d - 1, d*d - 1): the real antisymmetric matrix with
+    y(X) @ L = y(-i [op, X]) for Hermitian X and op, where y is _coordinates.
 
-    The commutator is real-linear in V and the identity part of V commutes
-    with X, so K(t) = sum_c y_c(V(t)) F[c] with the structure constants F:
-    one (T, d*d - 1) @ (d*d - 1, (d*d - 1)**2) product.
+    The commutator is real-linear in op and the identity part of op commutes
+    with X, so L = sum_c y_c(op) F[c] with the structure constants F: one
+    (d*d - 1,) @ (d*d - 1, (d*d - 1)**2) product.
     """
-    n = model.dim ** 2 - 1
-    v_t = rotating_frame_potential(model, np.asarray(times, dtype=float))
-    constants = _structure_constants(model.dim).reshape(n, -1)
-    return (_coordinates(v_t) @ constants).reshape(-1, n, n)
+    n = op.shape[0] ** 2 - 1
+    constants = _structure_constants(op.shape[0]).reshape(n, -1)
+    return (_coordinates(op) @ constants).reshape(n, n)
 
 
 def _summed_couplings(couplings: GalerkinCouplings):
-    """sum_n s_n M_n as one CSR matrix with a fixed pattern.
-
-    M_n[m, l] is nonzero only for l = m +- e_n, so the modes' patterns are
-    disjoint and the sum has one entry per entry of some M_n.  Entries are
-    ordered by row, then mode, then column.  Returns the matrix (data are
-    the M_n weights) and the mode of each entry; the data at a stage are
-    then weights * s[mode].
+    """sum_n s_n M_n and the drift as one (N, 2N) CSR matrix with a fixed
+    pattern, acting on x = Y @ [Lv | L0] read as (2N, d*d - 1): M_n[m, l] at
+    column 2l meets Y_l Lv, and the drift, one more mode with weight 1 at
+    (m, 2m + 1), meets Y_m L0.  The modes' patterns are disjoint, as
+    M_n[m, l] is nonzero only for l = m +- e_n.  Entries are ordered by row,
+    then mode, then column.  Returns the matrix (data are the weights) and
+    the mode of each entry; the data at a stage are then weights * s[mode].
     """
     from scipy import sparse
 
+    n_basis = couplings.basis.size
     parts = [matrix.tocoo() for matrix in couplings.mode_matrices]
+    parts.append(sparse.identity(n_basis, format="coo"))  # the drift
     rows = np.concatenate([part.row for part in parts])
-    cols = np.concatenate([part.col for part in parts])
+    cols = 2 * np.concatenate([part.col for part in parts])
+    cols[-n_basis:] += 1
     weights = np.concatenate([part.data for part in parts])
     modes = np.concatenate([np.full(part.nnz, n) for n, part in enumerate(parts)])
     order = np.lexsort((cols, modes, rows))
-    n_basis = couplings.basis.size
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_basis))])
     summed = sparse.csr_matrix((weights[order], cols[order], indptr),
-                               shape=(n_basis, n_basis))
+                               shape=(n_basis, 2 * n_basis))
     return summed, modes[order]
 
 
 def _sparse_product(summed, width: int):
     """summed's pattern bound to SciPy's csr_matvecs kernel: a function of
     (data, x, out) that adds the matrix with entries data times x into out,
-    for float64 (N, width) arrays x and out."""
+    for float64 x and out of (columns, width) and (rows, width) C values."""
     from scipy.sparse import _sparsetools
 
-    n = summed.shape[0]
-    return functools.partial(_sparsetools.csr_matvecs, n, n, width,
+    n_rows, n_cols = summed.shape
+    return functools.partial(_sparsetools.csr_matvecs, n_rows, n_cols, width,
                              summed.indptr, summed.indices)
 
 
-def _rhs(product, data: np.ndarray, kernel: np.ndarray, y: np.ndarray,
+def _rhs(product, data: np.ndarray, generator: np.ndarray, y: np.ndarray,
          x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sum_n s_n M_n (Y K) on the real (N, d*d) coordinates Y, written into
-    out and returned; product is the summed pattern's _sparse_product, data
-    its entries sum_n s_n M_n at the stage, and kernel is its K(t).  x
-    receives Y K.
+    """S(t) (Y Lv) + Y L0 on the real (N, d*d - 1) coordinates Y, written
+    into out and returned; product is the summed pattern's _sparse_product,
+    data its entries at the stage, and generator is [Lv | L0].  x receives
+    Y @ generator, (N, 2 (d*d - 1)), whose C-order values the matrix reads.
 
-    x and out are float64 (N, d*d) arrays, passed to the kernel whole: it
+    x and out are float64 arrays, passed to the kernel whole: it
     works in place on C-contiguous ones and copies and writes back any
     other layout, where out.ravel() would be a copy it fills instead.
     """
-    np.matmul(y, kernel, out=x)
+    np.matmul(y, generator, out=x)
     out.fill(0.0)
     product(data, x, out)
     return out
@@ -440,12 +437,12 @@ def _check_weighted_norm(norm: float, norm0: float, t: float) -> None:
             f"at t = {t!r}; reduce dt_max")
 
 
-def _rk4_steps(product, kernels: np.ndarray, data: np.ndarray, h: float,
+def _rk4_steps(product, generator: np.ndarray, data: np.ndarray, h: float,
                y: np.ndarray) -> None:
     """Classic RK4 steps of size h, advancing the real coordinates y in place.
 
-    product is the summed matrix's _sparse_product.  kernels and data are
-    K(t) and its data weight * s_n(t) on the steps' 2 steps + 1 stages
+    product is the summed matrix's _sparse_product, generator is [Lv | L0]
+    and data its entries weight * s[mode](t) on the steps' 2 steps + 1 stages
     (their half-step grid).  The data are pre-scaled by the stage factors
     (data is overwritten with its h/2 multiple), so the four _rhs calls of
     a step return a1 = (h/2) k1, a2 = (h/2) k2, a3 = h k3 and a4 = (h/6) k4,
@@ -454,15 +451,14 @@ def _rk4_steps(product, kernels: np.ndarray, data: np.ndarray, h: float,
     """
     full, sixth = h * data[1::2], (h / 6) * data[2::2]
     half = np.multiply(data, h / 2, out=data)
-    x, stage, a1, a2, a3, a4 = np.empty((6,) + y.shape)
+    x = np.empty((y.shape[0], generator.shape[1]))
+    stage, a1, a2, a3, a4 = np.empty((5,) + y.shape)
     for j in range(len(full)):
-        _rhs(product, half[2 * j], kernels[2 * j], y, x, a1)
-        _rhs(product, half[2 * j + 1], kernels[2 * j + 1],
+        _rhs(product, half[2 * j], generator, y, x, a1)
+        _rhs(product, half[2 * j + 1], generator,
              np.add(y, a1, out=stage), x, a2)
-        _rhs(product, full[j], kernels[2 * j + 1],
-             np.add(y, a2, out=stage), x, a3)
-        _rhs(product, sixth[j], kernels[2 * j + 2],
-             np.add(y, a3, out=stage), x, a4)
+        _rhs(product, full[j], generator, np.add(y, a2, out=stage), x, a3)
+        _rhs(product, sixth[j], generator, np.add(y, a3, out=stage), x, a4)
         increment = np.multiply(a2, 2, out=a2)
         np.add(a1, increment, out=increment)
         np.add(increment, a3, out=increment)
@@ -499,24 +495,25 @@ def _runs(block: range, steps):
 
 def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
               couplings: GalerkinCouplings, t_grid, dt_max: float | None = None):
-    """Integrate the hierarchy with fixed-step classic RK4.
+    """Integrate the hierarchy with fixed-step classic RK4, Schrodinger frame.
 
     Records a PCEState at every t_grid point (the first must equal state.t).
     Within each output interval the step is the largest uniform step not
-    exceeding dt_max (default horizon / 2000).  Between records the
+    exceeding dt_max (default horizon / 2000); over MAX_RK4_STEPS steps in
+    all raise CapacityError.  Between records the
     coefficients are the real (N, d*d - 1) traceless coordinates Y of
-    _coordinates, and one RHS is sum_n s_n(t) M_n (Y K(t)): one dense and
+    _coordinates, and one RHS is Y L0 + sum_n s_n(t) M_n (Y Lv): one dense and
     one sparse real product.  The flow conserves every trace, so the traces
     are read once from the input state and carried as constants.
 
     The grid is integrated in blocks of BLOCK_SIZE output intervals, fewer
-    where their steps would exceed BLOCK_STAGES stages (_blocks).  K(t) and
+    where their steps would exceed BLOCK_STAGES stages (_blocks).
     s_n(t) = sqrt(lambda_n) g_n(t) are built once per block, on all its
     intervals' stages on the half-step grid, so the integrator itself does
     no quadrature.  An interval with more stages than that is integrated in
     runs of RUN_STEPS steps with the same step size, each run with its own
     stage data (_runs), so memory does not grow with the steps per interval.
-    The data of the summed coupling matrix, weight * s_n(t), are built per
+    The data of the summed matrix, weight * s_n(t) and the drift's 1, are built per
     interval or run and pre-scaled by the RK4 stage factors h/2, h and h/6
     (_rk4_steps).  The block's records are converted back to Hermitian
     matrices together (_matrices), with their input traces, so trace and
@@ -550,13 +547,21 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
         dt_max = model.horizon / DEFAULT_SUBSTEP_FRACTION
     if not (dt_max > 0):
         raise ValueError(f"dt_max must be positive, got {dt_max}")
+    with np.errstate(over="ignore"):  # floats first: a tiny dt_max overflows no int
+        counts = np.maximum(1.0, np.ceil(np.diff(t_grid) / dt_max - 1e-12))
+    if not (np.sum(counts) <= MAX_RK4_STEPS):
+        raise CapacityError(f"{np.sum(counts):.6g} RK4 steps exceed the supported "
+                            f"maximum {MAX_RK4_STEPS}; raise dt_max")
+    steps = counts.astype(int).tolist()
 
     d = state.dim
     basis = state.basis
     summed, entry_modes = _summed_couplings(couplings)
-    # data = s_stage.T @ mode_weights is weight * s[mode]: one product per entry
-    mode_weights = np.zeros((basis.s, summed.nnz))
+    # data = s_stage.T @ mode_weights is weight * s[mode]; the drift's s is 1
+    mode_weights = np.zeros((basis.s + 1, summed.nnz))
     mode_weights[entry_modes, np.arange(summed.nnz)] = summed.data
+    generator = np.concatenate([_commutator_matrix(model.v),
+                                _commutator_matrix(model.h0)], axis=1)
     times = t_grid.tolist()
     _check_invariants(trace_error(state), hermiticity_error(state), times[0])
     out = [PCEState(coefficients=state.coefficients, t=times[0], basis=basis)]
@@ -564,8 +569,6 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     y = _coordinates(state.coefficients)  # C order, like the stage buffers
     product = _sparse_product(summed, d * d - 1)
     norm0 = float(_coordinate_norms(y, traces, d))
-    steps = [max(1, int(np.ceil((t1 - t0) / dt_max - 1e-12)))
-             for t0, t1 in zip(times[:-1], times[1:])]
     sizes = [(t1 - t0) / n for t0, t1, n in zip(times[:-1], times[1:], steps)]
     for block in _blocks(steps):
         records = np.empty((len(block), basis.size, d * d - 1))
@@ -573,12 +576,12 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
             stage_times = np.concatenate(
                 [times[i] + (sizes[i] / 2) * np.arange(2 * first, 2 * stop + 1)
                  for i, first, stop in run])
-            kernels = _commutator_kernels(model, stage_times)
             s_stage = scaled_modes_matrix(kle.modes, model.kernel, stage_times)
+            s_stage = np.vstack([s_stage, np.ones(stage_times.size)])  # the drift's s
             start = 0
             for i, first, stop in run:
                 stages = slice(start, start + 2 * (stop - first) + 1)
-                _rk4_steps(product, kernels[stages],
+                _rk4_steps(product, generator,
                            s_stage[:, stages].T @ mode_weights, sizes[i], y)
                 if stop == steps[i]:
                     records[i - block.start] = y
@@ -592,20 +595,18 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     return out
 
 
-def mean_state(states, model: StochasticModel) -> np.ndarray:
+def mean_state(states) -> np.ndarray:
     """The stochastic-mean density matrix in the Schrodinger frame.
 
-    E[psi_m] vanishes for m != 0, so the mean is phi_0 conjugated back by
-    U0(t).  One PCEState gives a (d, d) matrix, a sequence of them a
-    (T, d, d) stack.  A trace off 1 by more than MEAN_TRACE_TOL, NaN
-    included, raises CorruptedStateError for the first such record, named
-    by its time.  Positivity is not enforced (the truncated hierarchy does
-    not guarantee it); use min_eigenvalue to monitor it.
+    E[psi_m] vanishes for m != 0, so the mean is phi_0, made Hermitian.
+    One PCEState gives a (d, d) matrix, a sequence of them a (T, d, d)
+    stack.  A trace off 1 by more than MEAN_TRACE_TOL, NaN included,
+    raises CorruptedStateError for the first such record, named by its
+    time.  Positivity is not enforced (the truncated hierarchy does not
+    guarantee it); use min_eigenvalue to monitor it.
     """
     records, batched = _state_batch(states)
-    u0 = frame_rotations(model, np.array([r.t for r in records]))
-    phi0 = np.stack([r.coefficients[0] for r in records])
-    rho = u0 @ phi0 @ np.swapaxes(u0.conj(), -1, -2)
+    rho = np.stack([r.coefficients[0] for r in records])
     tr = np.trace(rho, axis1=-2, axis2=-1)
     bad = ~(np.abs(tr - 1.0) <= MEAN_TRACE_TOL)
     if bad.any():
@@ -633,46 +634,37 @@ def min_eigenvalue(rho):
     return unstack(np.linalg.eigvalsh(hermitian).min(axis=-1), batched)
 
 
-def observable_mean(states, obs, model: StochasticModel):
-    """tr(obs * mean_state), reported in the Schrodinger frame.
+def observable_mean(states, obs):
+    """tr(obs * mean_state).
 
     A float for one PCEState, a (T,) array for a sequence of them.
     """
-    return expectation(obs, mean_state(states, model))
+    return expectation(obs, mean_state(states))
 
 
 def _traces_with(coeffs: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Re tr(obs[b] phi_m) of (B, N, d, d) coefficients, shape (B, N); obs
-    is (B, d, d), one operator per record.
-
-    The operator is copied out to every coefficient, so einsum contracts
-    B*N pairs of (d, d) matrices alike: each entry is then bitwise the same
-    for any B.  With the record axis left to broadcast
-    (einsum("bij,bmji->bm")) the summation order changes once B > 1.
-    """
+    """Re tr(obs phi_m) of (B, N, d, d) coefficients, shape (B, N): one
+    einsum over all B*N coefficients alike, so each entry is bitwise the
+    same for any B."""
     b, n, d, _ = coeffs.shape
-    paired = np.broadcast_to(obs[:, None], coeffs.shape).reshape(b * n, d, d)
-    traces = np.einsum("kij,kji->k", paired, coeffs.reshape(b * n, d, d))
-    return traces.real.reshape(b, n)
+    return np.einsum("ij,kji->k", obs, coeffs.reshape(b * n, d, d)).real.reshape(b, n)
 
 
-def observable_variance(states, obs, model: StochasticModel):
+def observable_variance(states, obs):
     """Noise-induced variance of tr(obs rho(xi)) across realizations.
 
     Orthonormality of the Hermite basis gives
-    Var = sum_{m != 0} tr(obs_rot phi_m)^2 with obs rotated into the
-    propagation frame; no sampling involved.  A float for one PCEState,
-    a (T,) array for a sequence of them.  A record with a non-finite
-    coefficient raises CorruptedStateError, for the first such record,
-    named by its time.
+    Var = sum_{m != 0} tr(obs phi_m)^2, with obs and the coefficients both
+    in the Schrodinger frame; no sampling involved.  A float for one
+    PCEState, a (T,) array for a sequence of them.  A record with a
+    non-finite coefficient raises CorruptedStateError, for the first such
+    record, named by its time.
     """
     obs = check_hermitian(obs)
     records, batched = _state_batch(states)
     if obs.shape[0] != records[0].dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    u0 = frame_rotations(model, np.array([r.t for r in records]))
-    obs_rot = np.swapaxes(u0.conj(), -1, -2) @ obs @ u0
-    values = _blockwise(records, _traces_with, obs_rot)
+    values = _blockwise(records, functools.partial(_traces_with, obs=obs))
     bad = ~np.all(np.isfinite(values), axis=-1)
     if bad.any():
         k = int(np.argmax(bad))

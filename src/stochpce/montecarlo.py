@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .kle import OrnsteinUhlenbeckKernel, TruncatedKLE, scaled_modes_matrix
 from .operators import (
     SIGMA_X,
@@ -36,6 +36,7 @@ from .operators import (
 
 DEFAULT_STDERR_TARGET = 5e-3
 MAX_STEP_FRACTION = 100  # dt must not exceed horizon / 100
+MAX_TRAJECTORY_STEPS = 1_000_000  # one block's (BLOCK_SIZE, n_grid) paths: ~1 GB
 GRID_UNIFORMITY_TOL = 1e-9
 # Trajectories stepped together as one (B, d*d) array.  This bounds the
 # per-block temporaries: the (B, n_steps) noise paths and step angles and
@@ -224,8 +225,13 @@ def _resolve_step_grid(model: StochasticModel, config: MCConfig,
     if config.dt > model.horizon / MAX_STEP_FRACTION * (1 + 1e-12):
         raise ValueError(
             f"dt = {config.dt!r} exceeds horizon/{MAX_STEP_FRACTION}")
-    per_interval = max(1, int(np.ceil(out_dt / config.dt - 1e-12)))
+    per_interval = max(1.0, np.ceil(out_dt / config.dt - 1e-12))  # float: no overflow
     n_steps = per_interval * (t_out.size - 1)
+    if not (n_steps <= MAX_TRAJECTORY_STEPS):  # checked before any array is built
+        raise CapacityError(f"{n_steps:.6g} Monte Carlo steps per trajectory "
+                            f"exceed the supported maximum "
+                            f"{MAX_TRAJECTORY_STEPS}; raise [mc] dt")
+    per_interval, n_steps = int(per_interval), int(n_steps)
     t_grid = np.linspace(t_out[0], t_out[-1], n_steps + 1)
     record_idx = np.arange(0, n_steps + 1, per_interval)
     return t_grid, record_idx

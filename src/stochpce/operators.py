@@ -2,7 +2,9 @@
 
 Operators are plain complex numpy arrays (dimensionless units, hbar = 1).
 This module provides the Pauli constants, structural validators, the
-batched h0 frame rotation U0(t), the rotating-frame noise coupling, and
+batched h0 frame rotation U0(t) (Monte Carlo's half-step drift), the
+rotating-frame noise coupling (no solver uses it, as both step in the
+Schrodinger frame; it stays for the benchmark's probe, which times it), and
 observable expectations, of one state or of a (T, d, d) stack of them
 (as_operator_stack and unstack carry that shape rule).
 

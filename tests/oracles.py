@@ -112,8 +112,8 @@ def static_ensemble_sx(a: float, t, n_nodes: int = 400) -> np.ndarray:
 
     Gauss-Hermite quadrature (physicists'-normalized via roots_hermitenorm)
     over the closed form of static_realization_sx.  This is the tau_c -> inf
-    limit of the OU-driven model and exercises the full rotating-frame
-    machinery of any solver under test.
+    limit of the OU-driven model, with a drift that does not commute with
+    the noise.
     """
     t = np.asarray(t, dtype=float)
     nodes, weights = roots_hermitenorm(n_nodes)
@@ -196,27 +196,20 @@ def trajectory_states_loop(h0, v, t_grid, path, rho0, record_idx) -> np.ndarray:
 # PCE read-out, one record at a time
 # ---------------------------------------------------------------------------
 
-def pce_curve_loop(h0, obs, coefficients, times) -> np.ndarray:
+def pce_curve_loop(obs, coefficients) -> np.ndarray:
     """Rows (mean, variance, trace error, hermiticity error, min eigenvalue)
     of <obs> over the (N, d, d) chaos coefficients of each record, computed
     one record at a time.
 
-    The mean state is U0(t) phi_0 U0(t)^dag, made Hermitian, with
-    U0(t) = I + P (exp(-i E t) - 1) P^dag from eigh(h0) = (E, P); the
-    variance is sum_{m != 0} tr(U0^dag obs U0 phi_m)^2; the
-    trace error is max_m |tr phi_m - delta_{m,0}| and the hermiticity
-    error max_m ||phi_m - phi_m^dag||_F.
+    The mean state is phi_0, made Hermitian; the variance is
+    sum_{m != 0} tr(obs phi_m)^2; the trace error is
+    max_m |tr phi_m - delta_{m,0}| and the hermiticity error
+    max_m ||phi_m - phi_m^dag||_F.
     """
-    energies, states = np.linalg.eigh(h0)
-    eye = np.eye(h0.shape[0])
     rows = []
-    for coeffs, t in zip(coefficients, times):
-        phases = np.exp(-1j * np.multiply.outer(t, energies)) - 1.0
-        u0 = eye + (states * phases[None, :]) @ states.conj().T
-        rho = u0 @ coeffs[0] @ u0.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        obs_rot = u0.conj().T @ obs @ u0
-        values = np.einsum("ij,mji->m", obs_rot, coeffs).real
+    for coeffs in coefficients:
+        rho = 0.5 * (coeffs[0] + coeffs[0].conj().T)
+        values = np.einsum("ij,mji->m", obs, coeffs).real
         traces = np.einsum("...ii->...", coeffs)
         traces[0] -= 1.0
         dev = (coeffs - np.swapaxes(coeffs, -1, -2).conj()).reshape(len(coeffs), -1)
@@ -259,10 +252,12 @@ def nystrom_row_loop(kernel, eigenvalue: float, values, nodes, weights,
 # Galerkin hierarchy RHS as a per-coefficient commutator, and its RK4 loop
 # ---------------------------------------------------------------------------
 
-def galerkin_rhs_loop(v_t, s_vec, coeffs, mode_matrices) -> np.ndarray:
-    """-i sum_n s_n [V, (M_n phi)_m] on (N, d, d) coefficients: each mode's
-    coupling matrix mixes the flattened coefficients, then the commutator
-    with V is taken coefficient by coefficient."""
+def galerkin_rhs_loop(h0, v_t, s_vec, coeffs, mode_matrices) -> np.ndarray:
+    """-i [h0, phi_m] - i sum_n s_n [V, (M_n phi)_m] on (N, d, d)
+    coefficients: each mode's coupling matrix mixes the flattened
+    coefficients, then the commutators are taken coefficient by
+    coefficient.  h0 = h0, V = v is the Schrodinger frame; h0 = 0 with
+    V = U0(t)^dag v U0(t) is the h0 rotating frame."""
     n_basis, d = coeffs.shape[0], coeffs.shape[1]
     flat = coeffs.reshape(n_basis, d * d)
     mixed = np.zeros_like(flat)
@@ -270,15 +265,16 @@ def galerkin_rhs_loop(v_t, s_vec, coeffs, mode_matrices) -> np.ndarray:
         if s_n != 0.0:
             mixed += s_n * (matrix @ flat)
     mixed = mixed.reshape(n_basis, d, d)
-    return -1j * (v_t @ mixed - mixed @ v_t)
+    return -1j * ((h0 @ coeffs - coeffs @ h0) + (v_t @ mixed - mixed @ v_t))
 
 
-def galerkin_rk4_loop(coeffs, t_grid, dt_max, v_of_t, s_of_t,
+def galerkin_rk4_loop(coeffs, t_grid, dt_max, h0, v_of_t, s_of_t,
                       mode_matrices) -> np.ndarray:
     """Classic RK4 over galerkin_rhs_loop with the hierarchy's step rule: per
     output interval, the fewest uniform steps no longer than dt_max.
-    v_of_t(t) gives V(t) and s_of_t(t) the vector sqrt(lambda_n) g_n(t).
-    Returns the (d, d)-shaped coefficients at every t_grid point."""
+    h0 is the drift, v_of_t(t) gives V(t) and s_of_t(t) the vector
+    sqrt(lambda_n) g_n(t).  Returns the (d, d)-shaped coefficients at every
+    t_grid point."""
     y = np.asarray(coeffs, dtype=complex)
     out = [y]
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
@@ -286,7 +282,7 @@ def galerkin_rk4_loop(coeffs, t_grid, dt_max, v_of_t, s_of_t,
         h = (t1 - t0) / steps
         for j in range(steps):
             ta, tm, tb = t0 + j * h, t0 + (j + 0.5) * h, t0 + (j + 1) * h
-            args = [(v_of_t(t), s_of_t(t)) for t in (ta, tm, tb)]
+            args = [(h0, v_of_t(t), s_of_t(t)) for t in (ta, tm, tb)]
             k1 = galerkin_rhs_loop(*args[0], y, mode_matrices)
             k2 = galerkin_rhs_loop(*args[1], y + (h / 2) * k1, mode_matrices)
             k3 = galerkin_rhs_loop(*args[1], y + (h / 2) * k2, mode_matrices)
@@ -296,16 +292,16 @@ def galerkin_rk4_loop(coeffs, t_grid, dt_max, v_of_t, s_of_t,
     return np.array(out)
 
 
-def gauss_hermite_collocation_rk4(rho0, p: int, h: float, v_stage,
+def gauss_hermite_collocation_rk4(rho0, p: int, h: float, h0, v,
                                   s_stage) -> np.ndarray:
     """Orthonormal Hermite coefficients phi_0..phi_p of a one-mode model
     from (p+1)-point Gauss-Hermite collocation.
 
     Each node xi_k carries its own state under
-    d rho_k/dt = -i s(t) xi_k [V(t), rho_k], all starting from rho0, stepped
-    by classic RK4 with step h; v_stage (2K+1, d, d) and s_stage (2K+1,)
-    hold V(t) and s(t) on the half-step grid of the K steps.  The discrete
-    projection phi_m = sum_k w_k psi_m(xi_k) rho_k, with psi_m from
+    d rho_k/dt = -i [h0 + s(t) xi_k v, rho_k], all starting from rho0,
+    stepped by classic RK4 with step h; s_stage (2K+1,) holds s(t) on the
+    half-step grid of the K steps.  The discrete projection
+    phi_m = sum_k w_k psi_m(xi_k) rho_k, with psi_m from
     orthonormal_hermite, is exact for the products of degree <= 2p that
     occur.  The order-p Galerkin coupling matrix is the Jacobi matrix of
     the orthonormal Hermite polynomials, whose eigenvalues are these nodes
@@ -318,8 +314,8 @@ def gauss_hermite_collocation_rk4(rho0, p: int, h: float, v_stage,
     rho = np.repeat(np.asarray(rho0, dtype=complex)[None], p + 1, axis=0)
 
     def rhs(i, r):
-        v = v_stage[i]
-        return -1j * s_stage[i] * nodes[:, None, None] * (v @ r - r @ v)
+        ham = h0 + s_stage[i] * nodes[:, None, None] * v
+        return -1j * (ham @ r - r @ ham)
 
     for j in range((len(s_stage) - 1) // 2):
         i0 = 2 * j

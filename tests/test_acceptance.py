@@ -176,7 +176,7 @@ def test_criterion_4_dephasing_closed_form():
     states = propagate(initial_pce_state(rho0, basis), model, kle,
                        build_couplings(basis), t_out,
                        dt_max=config.pce.dt_max)
-    pce = np.array([observable_mean(st, SIGMA_X, model) for st in states])
+    pce = np.array([observable_mean(st, SIGMA_X) for st in states])
     pce_err = float(np.max(np.abs(pce - exact)))
 
     ensemble = mc_average(model, rho0, config.mc, t_out)

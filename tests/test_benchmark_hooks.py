@@ -3,10 +3,14 @@
 The benchmark wraps names that stochpce.cli imports, times the PCE read-out
 as the calls to its OBSERVABLES names, reads the coupling matrices
 propagate is given and counts 4 hierarchy._rhs calls per RK4 step, and
-its set-up loads each workload's run file; a refactor that breaks any of
-these would break the benchmark without failing any other test.  This only
+its set-up loads each workload's run file, and every stochpce name a
+perfbench module imports must exist; a refactor that breaks any of these
+would break the benchmark without failing any other test.  This only
 reads perfbench/.
 """
+import ast
+import glob
+import importlib
 import importlib.util
 import os
 
@@ -75,6 +79,37 @@ def test_workload_run_files_load(tmp_path):
         config.build_model()
         config.build_rho0()
         config.build_observable()
+
+
+def test_perfbench_imports_resolve():
+    """Every `import stochpce...` and `from stochpce... import name` in
+    perfbench/*.py, at module level or inside a function, names a module
+    or an attribute that exists."""
+    missing, found = [], 0
+    for path in sorted(glob.glob(os.path.join(PERFBENCH, "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                pairs = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                pairs = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            for module_name, name in pairs:
+                if module_name.split(".")[0] != "stochpce":
+                    continue
+                found += 1
+                module = importlib.import_module(module_name)
+                if name is None or hasattr(module, name):
+                    continue
+                try:
+                    importlib.import_module(f"{module_name}.{name}")
+                except ImportError:
+                    missing.append(f"{os.path.basename(path)}: "
+                                   f"from {module_name} import {name}")
+    assert found > 0
+    assert missing == []
 
 
 def test_traced_names_exist():

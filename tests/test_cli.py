@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -222,9 +224,8 @@ class TestPCECommand:
         config = load_config(cfg)
         states = recorded[0]
         assert len(states) > hierarchy.BLOCK_SIZE
-        rows = pce_curve_loop(config.build_model().h0, config.build_observable(),
-                              [st.coefficients for st in states],
-                              [st.t for st in states])
+        rows = pce_curve_loop(config.build_observable(),
+                              [st.coefficients for st in states])
         expected = [",".join(format_float(x) for x in (st.t, *row))
                     for st, row in zip(states, rows)]
         _, _, written = read_csv(f"{prefix}_pce.csv")
@@ -540,6 +541,29 @@ spacing = 0.1
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and "basis size" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,old,new,message", [
+        ("pce", "dt_max = 0.0005", "dt_max = 1e-300",
+         "1e+300 RK4 steps exceed the supported maximum 100000000; "
+         "raise dt_max"),
+        ("mc", "dt = 0.002", "dt = 1e-300",
+         "1e+300 Monte Carlo steps per trajectory exceed the supported "
+         "maximum 1000000; raise [mc] dt"),
+    ])
+    def test_oversized_step_grid_exits_2_at_once(self, tmp_path, capsys,
+                                                 command, old, new, message):
+        """A step grid too large to build is a typed error raised before any
+        array or run list exists: on the dephasing preset, dt_max = 1e-300
+        once meant about 1e295 runs and dt = 1e-300 a raw ValueError."""
+        preset = (resources.files("stochpce") / "presets"
+                  / "dephasing_oracle.ini").read_text()
+        assert preset.count(old) == 1
+        cfg = write_config(tmp_path, preset.replace(old, new))
+        start = time.perf_counter()
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"numerical error: {message}\n"
 
     def test_bad_seed_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -52,7 +52,7 @@ from stochpce.hierarchy import (
     PCEState,
     _blocks,
     _check_weighted_norm,
-    _commutator_kernels,
+    _commutator_matrix,
     _coordinates,
     _matrices,
     _rhs,
@@ -75,11 +75,11 @@ from stochpce.kle import (
     select_modes,
     solve_fredholm,
 )
-from stochpce.operators import rotating_frame_potential
+from stochpce.operators import frame_rotations, rotating_frame_potential
 
 RHO_PLUS_X = 0.5 * IDENTITY + 0.5 * SIGMA_X
 # A three-level model whose h0 and v are complex, non-diagonal and do not
-# commute, so V(t) in the rotating frame has no transpose symmetry.
+# commute, so neither commutator has a transpose symmetry.
 H0_3 = np.array([[1.0, 0.3 - 0.2j, 0.0],
                  [0.3 + 0.2j, -0.4, 0.5j],
                  [0.0, -0.5j, 0.2]])
@@ -93,6 +93,12 @@ RHO_3 = np.array([[0.5, 0.2, 0.1j],
 
 def make_model(kernel, h0=SIGMA_X, v=SIGMA_Z, horizon=1.0):
     return StochasticModel(h0=h0, v=v, kernel=kernel, horizon=horizon)
+
+
+def _generator(model):
+    """[Lv | L0], the constant dense half of propagate's generator."""
+    return np.concatenate([_commutator_matrix(model.v),
+                           _commutator_matrix(model.h0)], axis=1)
 
 
 def build_kle(model, s, grid_size=200, candidates=12):
@@ -116,7 +122,7 @@ def run_observable(model, s, p, t_grid, dt_max=1e-3, grid_size=200, obs=SIGMA_X)
     couplings = build_couplings(basis)
     states = propagate(initial_pce_state(RHO_PLUS_X, basis), model, kle,
                        couplings, t_grid, dt_max=dt_max)
-    return np.array([observable_mean(st, obs, model) for st in states])
+    return np.array([observable_mean(st, obs) for st in states])
 
 
 class TestMultiIndexSet:
@@ -241,14 +247,20 @@ class TestSummedCouplings:
             assert not left & right
 
     def test_summed_matrix_is_the_weighted_mode_sum(self):
+        """Columns 2l hold sum_n s_n M_n[:, l], columns 2l + 1 the drift's
+        identity, whose mode is numbered S."""
         couplings = build_couplings(weighted_set((1, 3, 6), 27))
+        n_basis = couplings.basis.size
         summed, modes = _summed_couplings(couplings)
-        assert summed.nnz == sum(m.nnz for m in couplings.mode_matrices)
-        s_vec = np.array([0.7, -1.3, 2.1])
+        assert summed.shape == (n_basis, 2 * n_basis)
+        assert summed.nnz == n_basis + sum(m.nnz for m in couplings.mode_matrices)
+        s_vec = np.array([0.7, -1.3, 2.1, 1.0])
         summed.data = summed.data * s_vec[modes]
         expected = sum(s_n * matrix
                        for s_n, matrix in zip(s_vec, couplings.mode_matrices))
-        np.testing.assert_array_equal(summed.toarray(), expected.toarray())
+        got = summed.toarray()
+        np.testing.assert_array_equal(got[:, 0::2], expected.toarray())
+        np.testing.assert_array_equal(got[:, 1::2], np.eye(n_basis))
 
 
 class TestTracelessCoordinates:
@@ -325,8 +337,7 @@ class TestWeightedSets:
             states = propagate(initial_pce_state(RHO_PLUS_X, basis), model,
                                kle, build_couplings(basis), t_grid,
                                dt_max=5e-3)
-            curves.append([observable_mean(st, SIGMA_X, model)
-                           for st in states])
+            curves.append([observable_mean(st, SIGMA_X) for st in states])
             if level == 27:
                 norm0 = weighted_norm(states[0])
                 drift = max(abs(weighted_norm(st) - norm0) for st in states)
@@ -349,49 +360,46 @@ class TestRHS:
         return PCEState(coefficients=coeffs, t=0.3, basis=self.basis)
 
     def test_rhs_is_the_commutator_loop(self):
-        """One RHS in traceless coordinates is y(-i sum_n s_n [V, (M_n phi)_m]),
-        and its K(t) is antisymmetric."""
+        """One RHS in traceless coordinates is
+        y(-i [h0, phi_m] - i sum_n s_n [v, (M_n phi)_m])."""
         state = self._random_hermitian_state()
         t = 0.3
         s_vec = scaled_modes_matrix(self.kle.modes, self.model.kernel, [t])[:, 0]
         summed, modes = _summed_couplings(self.couplings)
         y = _coordinates(state.coefficients)
-        x, out = np.empty((2,) + y.shape)
-        kernel = _commutator_kernels(self.model, [t])[0]
+        x, out = np.empty((y.shape[0], 2 * y.shape[1])), np.empty(y.shape)
         deriv = _rhs(_sparse_product(summed, y.shape[1]),
-                     summed.data * s_vec[modes], kernel, y, x, out)
-        expected = galerkin_rhs_loop(rotating_frame_potential(self.model, t),
-                                     s_vec, state.coefficients,
+                     summed.data * np.append(s_vec, 1.0)[modes],
+                     _generator(self.model), y, x, out)
+        expected = galerkin_rhs_loop(self.model.h0, self.model.v, s_vec,
+                                     state.coefficients,
                                      self.couplings.mode_matrices)
         np.testing.assert_allclose(deriv, _coordinates(expected), rtol=0,
                                    atol=1e-13)
-        np.testing.assert_array_equal(kernel, -kernel.T)
 
-    def test_superoperator_is_the_commutator(self):
-        """y(X) @ K(t) is y(-i [V(t), X]).  A complex, non-diagonal 3x3 V has
-        no symmetry that would hide a transposed kernel or a swapped
+    @pytest.mark.parametrize("op", [H0_3, V_3, SIGMA_X, SIGMA_Z],
+                             ids=["qutrit_h0", "qutrit_v", "fig2_h0", "fig2_v"])
+    def test_commutator_matrix_is_the_commutator(self, op):
+        """y(X) @ L is y(-i [op, X]), and L is bitwise -L.T, for fig2's
+        operators and the qutrit's.  A complex, non-diagonal 3x3 operator
+        has no symmetry that would hide a transposed matrix or a swapped
         real/imaginary block."""
-        model = make_model(OrnsteinUhlenbeckKernel(1.0, 1.0), h0=H0_3,
-                           v=V_3)
-        times = np.array([0.0, 0.17, 0.6])
-        kernels = _commutator_kernels(model, times)
-        assert kernels.shape == (3, 8, 8) and kernels.dtype == np.float64
+        d = op.shape[0]
+        matrix = _commutator_matrix(op)
+        assert matrix.shape == (d * d - 1,) * 2 and matrix.dtype == np.float64
+        assert np.max(np.abs(matrix)) > 0.1
+        np.testing.assert_array_equal(matrix, -matrix.T)
         rng = np.random.default_rng(11)
-        raw = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        raw = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
         xs = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-        for k, t in enumerate(times):
-            v_t = rotating_frame_potential(model, t)
-            expected = _coordinates(-1j * (v_t @ xs - xs @ v_t))
-            np.testing.assert_allclose(_coordinates(xs) @ kernels[k], expected,
-                                       rtol=0, atol=1e-14)
-            np.testing.assert_array_equal(
-                _commutator_kernels(model, times[k:k + 1])[0], kernels[k])
+        expected = _coordinates(-1j * (op @ xs - xs @ op))
+        np.testing.assert_allclose(_coordinates(xs) @ matrix, expected,
+                                   rtol=0, atol=1e-14)
 
     @staticmethod
     def _rhs_case(name):
-        """(summed, kernels, y) on fig2's basis (s = 3, p = 9, qubit) or a
-        qutrit one, with random stage data and coordinates and K(t) at
-        five times."""
+        """(summed, generator, y) on fig2's basis (s = 3, p = 9, qubit) or
+        a qutrit one, with random stage data and coordinates."""
         rng = np.random.default_rng(5)
         if name == "fig2":
             model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
@@ -402,57 +410,47 @@ class TestRHS:
             basis = enumerate_indices(2, 4)
         summed, _ = _summed_couplings(build_couplings(basis))
         summed.data = rng.standard_normal(summed.nnz)
-        kernels = _commutator_kernels(model, 0.05 * np.arange(5))
         y = rng.standard_normal((basis.size, model.dim ** 2 - 1))
-        return summed, kernels, y
-
-    @pytest.mark.parametrize("name", ["fig2", "qutrit"])
-    def test_kernel_is_antisymmetric(self, name):
-        """K(t) is bitwise -K(t).T at every stage time, on fig2's V and on
-        the complex, non-diagonal qutrit V_3."""
-        _, kernels, _ = self._rhs_case(name)
-        assert np.max(np.abs(kernels)) > 0.1
-        np.testing.assert_array_equal(kernels, -kernels.transpose(0, 2, 1))
+        return summed, _generator(model), y
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("name", ["fig2", "qutrit"])
     def test_rhs_is_bitwise_the_sparse_product(self, name, order):
-        """The direct kernel call is bitwise summed @ (y @ kernel), whatever
-        the buffers held before.  The integrator's buffers are C-contiguous;
-        Fortran-ordered ones must still receive the result, not a copy."""
-        summed, kernels, y = self._rhs_case(name)
-        x, out = (np.full(y.shape, np.nan, order=order) for _ in range(2))
+        """The direct kernel call is bitwise summed @ (y @ generator), read
+        as (2N, d*d - 1), whatever the buffers held before.  The
+        integrator's buffers are C-contiguous; Fortran-ordered ones must
+        still receive the result, not a copy."""
+        summed, generator, y = self._rhs_case(name)
+        x = np.full((y.shape[0], generator.shape[1]), np.nan, order=order)
+        out = np.full(y.shape, np.nan, order=order)
         product = _sparse_product(summed, y.shape[1])
-        for kernel in kernels:
-            got = _rhs(product, summed.data, kernel, y, x, out)
-            assert got is out
-            np.testing.assert_array_equal(got, summed @ (y @ kernel))
+        got = _rhs(product, summed.data, generator, y, x, out)
+        assert got is out
+        np.testing.assert_array_equal(
+            got, summed @ (y @ generator).reshape(-1, y.shape[1]))
 
     @pytest.mark.parametrize("name", ["fig2", "qutrit"])
     def test_buffered_steps_are_bitwise_the_rk4_expression(self, name):
         """Two _rk4_steps steps are, bit for bit, the steps
         y + ((a1 + 2 a2 + a3) / 3 + a4) formed from fresh arrays."""
-        summed, kernels, y = self._rhs_case(name)
+        summed, generator, y = self._rhs_case(name)
         h = 0.01
         data = np.random.default_rng(6).standard_normal((5, summed.nnz))
 
-        def product(stage_data, kernel, x):
+        def product(stage_data, x):
             matrix = summed.copy()
             matrix.data = stage_data
-            return matrix @ (x @ kernel)
+            return matrix @ (x @ generator).reshape(-1, x.shape[1])
 
         expected = y
         for j in range(2):
-            a1 = product((h / 2) * data[2 * j], kernels[2 * j], expected)
-            a2 = product((h / 2) * data[2 * j + 1], kernels[2 * j + 1],
-                         expected + a1)
-            a3 = product(h * data[2 * j + 1], kernels[2 * j + 1],
-                         expected + a2)
-            a4 = product((h / 6) * data[2 * j + 2], kernels[2 * j + 2],
-                         expected + a3)
+            a1 = product((h / 2) * data[2 * j], expected)
+            a2 = product((h / 2) * data[2 * j + 1], expected + a1)
+            a3 = product(h * data[2 * j + 1], expected + a2)
+            a4 = product((h / 6) * data[2 * j + 2], expected + a3)
             expected = expected + ((a1 + 2 * a2 + a3) / 3 + a4)
         got = y.copy()
-        _rk4_steps(_sparse_product(summed, y.shape[1]), kernels, data, h, got)
+        _rk4_steps(_sparse_product(summed, y.shape[1]), generator, data, h, got)
         np.testing.assert_array_equal(got, expected)
 
     @staticmethod
@@ -462,8 +460,7 @@ class TestRHS:
         start = initial_pce_state(rho0, basis)
         states = propagate(start, model, kle, couplings, t_grid, dt_max=dt_max)
         reference = galerkin_rk4_loop(
-            start.coefficients, t_grid, dt_max,
-            lambda t: rotating_frame_potential(model, t),
+            start.coefficients, t_grid, dt_max, model.h0, lambda t: model.v,
             lambda t: scaled_modes_matrix(kle.modes, model.kernel, [t])[:, 0],
             couplings.mode_matrices)
         got = np.array([st.coefficients for st in states])
@@ -487,6 +484,32 @@ class TestRHS:
             model, build_kle(model, 3, grid_size=400, candidates=12),
             enumerate_indices(3, 9), RHO_PLUS_X, np.array([0.0, 0.1, 0.25]),
             5e-3)
+
+    @pytest.mark.parametrize("h0,alpha,s,p", [(20.0 * SIGMA_X, 1.0, 3, 4),
+                                              (SIGMA_X, 3.0, 3, 9)],
+                             ids=["fig1_bottom", "fig2"])
+    def test_propagate_matches_rotating_frame_loop(self, h0, alpha, s, p):
+        """The Schrodinger-frame hierarchy agrees within 1e-9 with RK4 over
+        the same loop in the h0 rotating frame (h0 = 0, V(t) =
+        U0(t)^dag v U0(t)), rotated back by U0(t), at the presets' dt_max.
+        fig1_bottom's h0 = 20 sx is the stiffest shipped drift."""
+        model = make_model(OrnsteinUhlenbeckKernel(alpha, 10.0), h0=h0)
+        kle = build_kle(model, s, grid_size=400, candidates=12)
+        basis = enumerate_indices(s, p)
+        couplings = build_couplings(basis)
+        start = initial_pce_state(RHO_PLUS_X, basis)
+        t_grid, dt_max = np.array([0.0, 0.05, 0.1]), 5e-4
+        states = propagate(start, model, kle, couplings, t_grid, dt_max=dt_max)
+        rotating = galerkin_rk4_loop(
+            start.coefficients, t_grid, dt_max, np.zeros((2, 2)),
+            lambda t: rotating_frame_potential(model, t),
+            lambda t: scaled_modes_matrix(kle.modes, model.kernel, [t])[:, 0],
+            couplings.mode_matrices)
+        u0 = frame_rotations(model, t_grid)[:, None]
+        reference = u0 @ rotating @ np.swapaxes(u0.conj(), -1, -2)
+        got = np.array([st.coefficients for st in states])
+        assert np.max(np.abs(reference[-1, 1:])) > 0.01  # the noise moved it
+        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-9)
 
     def test_rejects_foreign_couplings(self):
         state = initial_pce_state(RHO_PLUS_X, self.basis)
@@ -751,7 +774,7 @@ class TestPropagation:
         steps, h = 200, 1.0 / 200
         stage_times = (h / 2) * np.arange(2 * steps + 1)
         reference = gauss_hermite_collocation_rk4(
-            RHO_PLUS_X, p, h, rotating_frame_potential(model, stage_times),
+            RHO_PLUS_X, p, h, model.h0, model.v,
             scaled_modes_matrix(kle.modes, model.kernel, stage_times)[0])
         assert np.max(np.abs(reference[1:])) > 0.05  # the noise moved it
         np.testing.assert_allclose(final.coefficients, reference, rtol=0,
@@ -779,7 +802,7 @@ class TestPropagation:
                                dt_max=config.pce.dt_max)
             norm0 = weighted_norm(states[0])
             assert max(abs(weighted_norm(st) - norm0) for st in states) <= 1e-9
-            final_variance[p] = observable_variance(states[-1], obs, model)
+            final_variance[p] = observable_variance(states[-1], obs)
         assert final_variance[200] > 0.1  # the noise spread sx
         assert abs(final_variance[200] - final_variance[80]) <= 1e-9
 
@@ -832,10 +855,9 @@ class TestPropagation:
         """Constant kernel <=> one frozen Gaussian amplitude: the hierarchy
         must land on the Gauss-Hermite average of the exact Rabi formula.
 
-        Regression guard for the rotating-frame propagator: this oracle has a
-        nondiagonal h0 and is sensitive to any basis-conjugation slip, unlike
-        dephasing checks (h0 = 0) or solver cross-comparisons that share the
-        frame code.
+        Regression guard for the drift term: this oracle has a nondiagonal
+        h0 and is sensitive to any slip in applying it, unlike dephasing
+        checks (h0 = 0) or solver cross-comparisons that share the code.
         """
         model = make_model(ConstantKernel(0.5))
         t_grid = np.linspace(0.0, 1.0, 11)
@@ -854,18 +876,19 @@ class TestMoments:
 
     def test_initial_moments(self):
         state = initial_pce_state(RHO_PLUS_X, self.basis)
-        np.testing.assert_allclose(mean_state(state, self.model), RHO_PLUS_X,
-                                   atol=1e-14)
-        assert observable_mean(state, SIGMA_X, self.model) == pytest.approx(1.0)
-        assert observable_variance(state, SIGMA_X, self.model) == 0.0
+        np.testing.assert_allclose(mean_state(state), RHO_PLUS_X, atol=1e-14)
+        assert observable_mean(state, SIGMA_X) == pytest.approx(1.0)
+        assert observable_variance(state, SIGMA_X) == 0.0
 
     def test_mean_state_is_schrodinger_frame(self):
+        """The bare drift h0 = sz turns |+x> by exp(-i sz t); RK4 at
+        dt_max = 1e-3 follows it to 1e-12."""
         model = make_model(OrnsteinUhlenbeckKernel(0.0, 1.0), h0=SIGMA_Z)
         kle = build_kle(model, 1)
         basis = enumerate_indices(1, 1)
         states = propagate(initial_pce_state(RHO_PLUS_X, basis), model, kle,
-                           build_couplings(basis), [0.0, 0.4], dt_max=0.01)
-        rho = mean_state(states[-1], model)
+                           build_couplings(basis), [0.0, 0.4], dt_max=1e-3)
+        rho = mean_state(states[-1])
         u0 = np.diag(np.exp(-1j * np.array([1.0, -1.0]) * 0.4))
         expected = u0 @ RHO_PLUS_X @ u0.conj().T
         np.testing.assert_allclose(rho, expected, atol=1e-12)
@@ -875,8 +898,7 @@ class TestMoments:
         states = propagate(initial_pce_state(RHO_PLUS_X, self.basis),
                            self.model, self.kle, self.couplings,
                            np.linspace(0.0, 1.0, 6), dt_max=1e-3)
-        got = np.array([observable_variance(st, SIGMA_X, self.model)
-                        for st in states])
+        got = np.array([observable_variance(st, SIGMA_X) for st in states])
         expected = dephasing_sx_variance(0.25, 10.0, np.linspace(0.0, 1.0, 6))
         np.testing.assert_allclose(got, expected, atol=5e-3)
         assert np.all(got >= 0.0)
@@ -889,7 +911,7 @@ class TestMoments:
         basis = enumerate_indices(1, 9)
         states = propagate(initial_pce_state(RHO_PLUS_X, basis), model, kle,
                            build_couplings(basis), [0.0, 1.0], dt_max=1e-3)
-        got = observable_variance(states[-1], SIGMA_X, model)
+        got = observable_variance(states[-1], SIGMA_X)
 
         nodes, weights = roots_hermitenorm(300)
         weights = weights / weights.sum()
@@ -903,7 +925,7 @@ class TestMoments:
         bad[0] = 0.9 * RHO_PLUS_X
         state = PCEState(coefficients=bad, t=0.0, basis=self.basis)
         with pytest.raises(CorruptedStateError):
-            mean_state(state, self.model)
+            mean_state(state)
 
     def test_nan_mean_rejected(self):
         bad = np.zeros((self.basis.size, 2, 2), dtype=complex)
@@ -911,8 +933,8 @@ class TestMoments:
         bad[0, 1, 1] = np.nan
         state = PCEState(coefficients=bad, t=0.0, basis=self.basis)
         with pytest.raises(CorruptedStateError,
-                           match=r"^mean state trace \(nan\+nanj\) at t = 0\.0 "):
-            mean_state(state, self.model)
+                           match=r"^mean state trace \(nan\+0j\) at t = 0\.0 "):
+            mean_state(state)
 
     def test_nan_higher_coefficient_rejected_by_variance(self):
         """A NaN phi_m with m != 0 leaves the mean alone but not the
@@ -922,7 +944,7 @@ class TestMoments:
         bad[2, 0, 1] = np.nan
         state = PCEState(coefficients=bad, t=0.25, basis=self.basis)
         with pytest.raises(CorruptedStateError, match=r"t = 0\.25 "):
-            observable_variance(state, SIGMA_X, self.model)
+            observable_variance(state, SIGMA_X)
 
     def test_min_eigenvalue(self):
         assert min_eigenvalue(RHO_PLUS_X) == pytest.approx(0.0, abs=1e-12)
@@ -944,7 +966,7 @@ def _fig2_case():
     states = propagate(initial_pce_state(RHO_PLUS_X, basis), model,
                        build_kle(model, 3), build_couplings(basis),
                        np.linspace(0.0, 1.0, 41), dt_max=5e-3)
-    return states, model, SIGMA_X
+    return states, SIGMA_X
 
 
 def _qutrit_case():
@@ -956,15 +978,15 @@ def _qutrit_case():
                        build_kle(model, 2, grid_size=100), build_couplings(basis),
                        np.linspace(0.0, 1.0, 41), dt_max=1e-2)
     obs = np.array([[0.0, 1.0, 0.5j], [1.0, 0.3, 0.2], [-0.5j, 0.2, -1.0]])
-    return states, model, obs
+    return states, obs
 
 
-def _read_out(states, model, obs) -> dict:
-    rho = mean_state(states, model)
+def _read_out(states, obs) -> dict:
+    rho = mean_state(states)
     return {"mean_state": rho,
-            "observable_mean": observable_mean(states, obs, model),
+            "observable_mean": observable_mean(states, obs),
             "expectation": expectation(obs, rho),
-            "observable_variance": observable_variance(states, obs, model),
+            "observable_variance": observable_variance(states, obs),
             "trace_error": trace_error(states),
             "hermiticity_error": hermiticity_error(states),
             "min_eigenvalue": min_eigenvalue(rho)}
@@ -978,14 +1000,14 @@ def read_out_case(request):
 
 class TestBatchedReadout:
     def test_batch_entries_are_bitwise_scalar_calls(self, read_out_case):
-        states, model, obs = read_out_case
-        batch = _read_out(states, model, obs)
+        states, obs = read_out_case
+        batch = _read_out(states, obs)
         d = states[0].dim
         for name, values in batch.items():
             expected_shape = (len(states), d, d) if name == "mean_state" else (len(states),)
             assert values.shape == expected_shape, name
         for k, state in enumerate(states):
-            single = _read_out(state, model, obs)
+            single = _read_out(state, obs)
             for name, value in single.items():
                 if name == "mean_state":
                     assert value.shape == (d, d)
@@ -995,19 +1017,18 @@ class TestBatchedReadout:
                     (name, k)
 
     def test_batch_matches_per_record_loop(self, read_out_case):
-        states, model, obs = read_out_case
-        batch = _read_out(states, model, obs)
+        states, obs = read_out_case
+        batch = _read_out(states, obs)
         got = np.stack([batch[name] for name in (
             "observable_mean", "observable_variance", "trace_error",
             "hermiticity_error", "min_eigenvalue")], axis=1)
-        expected = pce_curve_loop(model.h0, obs, [st.coefficients for st in states],
-                                  [st.t for st in states])
+        expected = pce_curve_loop(obs, [st.coefficients for st in states])
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("corruption", ["trace", "nan"])
     def test_batch_names_first_corrupted_record(self, read_out_case, corruption):
         """Records 5 and 23 are both corrupted; the error names record 5."""
-        states, model, obs = read_out_case
+        states, obs = read_out_case
         states = list(states)
         for k in (5, 23):
             coeffs = states[k].coefficients.copy()
@@ -1020,12 +1041,12 @@ class TestBatchedReadout:
                                  basis=states[k].basis)
         named = re.escape(f"t = {states[5].t!r} ")
         with pytest.raises(CorruptedStateError, match=named):
-            mean_state(states, model)
+            mean_state(states)
         with pytest.raises(CorruptedStateError, match=named):
-            observable_mean(states, obs, model)
+            observable_mean(states, obs)
         if corruption == "nan":
             with pytest.raises(CorruptedStateError, match=named):
-                observable_variance(states, obs, model)
+                observable_variance(states, obs)
             stack = np.stack([st.coefficients[0] for st in states])
             with pytest.raises(CorruptedStateError, match="^matrix 5 "):
                 min_eigenvalue(stack)

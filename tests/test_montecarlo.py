@@ -306,8 +306,9 @@ class TestEnsemble:
                                        atol=1e-12)
 
     def test_initial_time_reports_rho0_exactly(self):
-        """U0(0) is exactly the identity, so at t = 0 both solvers report
-        rho0 itself and the MC stderr is exactly zero (fig2 model)."""
+        """U0(0) is exactly the identity, so at t = 0 Monte Carlo reports
+        rho0 itself and its stderr is exactly zero (fig2 model); the chaos
+        mean there is phi_0 = rho0."""
         model = make_model()
         np.testing.assert_array_equal(frame_rotations(model, 0.0),
                                       np.eye(2, dtype=complex))
@@ -317,7 +318,7 @@ class TestEnsemble:
         assert result.stderr_obs[0] == 0.0
         np.testing.assert_array_equal(result.mean_rho[0], RHO_PLUS_X)
         state = initial_pce_state(RHO_PLUS_X, enumerate_indices(3, 2))
-        np.testing.assert_array_equal(mean_state(state, model), RHO_PLUS_X)
+        np.testing.assert_array_equal(mean_state(state), RHO_PLUS_X)
 
     def test_mean_state_is_physical(self):
         model = make_model()
