@@ -158,10 +158,6 @@ def _mc_exit(ensemble, allow_unconverged: bool) -> int:
     return EXIT_UNCONVERGED
 
 
-def _mc_observable_means(ensemble, observable) -> np.ndarray:
-    return np.einsum("ij,tji->t", observable, ensemble.mean_rho).real
-
-
 def _cmd_kle(config: RunConfig, prefix: str, _allow_unconverged: bool) -> int:
     model = config.build_model()
     modes, rates = _solve_modes(config, model)
@@ -219,12 +215,12 @@ def _cmd_mc(config: RunConfig, prefix: str, allow_unconverged: bool) -> int:
         kle = select_modes(*_solve_modes(config, model), config.kle.s)
     ensemble = mc_average(model, rho0, config.mc, config.output_times(),
                           observable=observable, kle=kle)
-    obs_means = _mc_observable_means(ensemble, observable)
     header = _header(config, "mc")
     header.append(f"converged: {int(ensemble.converged)}")
     volatile = [f"generated: {_timestamp()}"]
     rows = [(t, m, s, ensemble.n_used)
-            for t, m, s in zip(ensemble.times, obs_means, ensemble.stderr_obs)]
+            for t, m, s in zip(ensemble.times, ensemble.obs_mean,
+                              ensemble.stderr_obs)]
     _write_csv(f"{prefix}_mc.csv", header, volatile,
                ["t", "obs_mean", "obs_stderr", "n_traj"], rows)
     return _mc_exit(ensemble, allow_unconverged)
@@ -250,8 +246,7 @@ def _cmd_compare(config: RunConfig, prefix: str, allow_unconverged: bool) -> int
                           observable=observable, kle=kle)
     mc_seconds = time.perf_counter() - start
 
-    mc_means = _mc_observable_means(ensemble, observable)
-    abs_diff = np.abs(curve["mean"] - mc_means)
+    abs_diff = np.abs(curve["mean"] - ensemble.obs_mean)
     within = abs_diff <= ensemble.stderr_obs
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(ensemble.stderr_obs > 0, abs_diff / ensemble.stderr_obs,
@@ -269,8 +264,8 @@ def _cmd_compare(config: RunConfig, prefix: str, allow_unconverged: bool) -> int
     volatile = [f"generated: {_timestamp()}",
                 f"timing: pce_seconds={pce_seconds!r} mc_seconds={mc_seconds!r} "
                 f"mc_over_pce={(mc_seconds / pce_seconds)!r}"]
-    rows = zip(curve["times"], curve["mean"], mc_means, ensemble.stderr_obs,
-               abs_diff, within)
+    rows = zip(curve["times"], curve["mean"], ensemble.obs_mean,
+               ensemble.stderr_obs, abs_diff, within)
     _write_csv(f"{prefix}_compare.csv", header, volatile,
                ["t", "pce_mean", "mc_mean", "mc_stderr", "abs_diff",
                 "within_band"], rows)

@@ -76,6 +76,7 @@ from .operators import (
 
 MAX_BASIS_SIZE = 10_000_000
 MAX_RK4_STEPS = 100_000_000  # per propagate call
+MAX_RECORD_BYTES = 2**30  # the complex (N, d, d) records of one propagate call
 TRACE_CONSERVATION_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 WEIGHTED_NORM_TOL = 1e-8
@@ -341,28 +342,17 @@ def _matrices(y: np.ndarray, traces: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=None)
-def _structure_constants(d: int) -> np.ndarray:
-    """F, shape (d*d - 1,) * 3, with F[c, b, a] = y_a(-i [G_c, G_b]) for the
-    coordinates y_a of _coordinates.  Totally antisymmetric.  Read-only."""
-    basis = _traceless_basis(d)
-    left, right = basis[:, None], basis[None, :]
-    constants = _coordinates(-1j * (left @ right - right @ left))
-    constants.setflags(write=False)
-    return constants
-
-
 def _commutator_matrix(op: np.ndarray) -> np.ndarray:
     """L, shape (d*d - 1, d*d - 1): the real antisymmetric matrix with
     y(X) @ L = y(-i [op, X]) for Hermitian X and op, where y is _coordinates.
 
-    The commutator is real-linear in op and the identity part of op commutes
-    with X, so L = sum_c y_c(op) F[c] with the structure constants F: one
-    (d*d - 1,) @ (d*d - 1, (d*d - 1)**2) product.
+    X = tr(X) / d I + sum_b y_b(X) G_b and the identity commutes with op, so
+    row b of L is y(-i [op, G_b]).  Those rows are antisymmetric up to
+    rounding; averaging them with minus their transpose makes L bitwise so.
     """
-    n = op.shape[0] ** 2 - 1
-    constants = _structure_constants(op.shape[0]).reshape(n, -1)
-    return (_coordinates(op) @ constants).reshape(n, n)
+    basis = _traceless_basis(op.shape[0])
+    rows = _coordinates(-1j * (op @ basis - basis @ op))
+    return 0.5 * (rows - rows.T)
 
 
 def _summed_couplings(couplings: GalerkinCouplings):
@@ -417,15 +407,6 @@ def _rhs(product, data: np.ndarray, generator: np.ndarray, y: np.ndarray,
     out.fill(0.0)
     product(data, x, out)
     return out
-
-
-def _check_invariants(t_err: float, h_err: float, t: float) -> None:
-    if not (t_err <= DIVERGENCE_FACTOR * TRACE_CONSERVATION_TOL):
-        raise PropagationDivergedError(
-            f"trace error {t_err:.3e} at t = {t!r}; reduce dt_max")
-    if not (h_err <= DIVERGENCE_FACTOR * HERMITICITY_TOL):
-        raise PropagationDivergedError(
-            f"hermiticity error {h_err:.3e} at t = {t!r}; reduce dt_max")
 
 
 def _check_weighted_norm(norm: float, norm0: float, t: float) -> None:
@@ -552,6 +533,12 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     if not (np.sum(counts) <= MAX_RK4_STEPS):
         raise CapacityError(f"{np.sum(counts):.6g} RK4 steps exceed the supported "
                             f"maximum {MAX_RK4_STEPS}; raise dt_max")
+    record_bytes = t_grid.size * state.coefficients.nbytes
+    if record_bytes > MAX_RECORD_BYTES:
+        raise CapacityError(f"{t_grid.size} records of {state.basis.size} "
+                            f"coefficients need {record_bytes} bytes, over "
+                            f"the supported maximum {MAX_RECORD_BYTES}; lower "
+                            f"[pce] output_points")
     steps = counts.astype(int).tolist()
 
     d = state.dim
@@ -563,7 +550,13 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     generator = np.concatenate([_commutator_matrix(model.v),
                                 _commutator_matrix(model.h0)], axis=1)
     times = t_grid.tolist()
-    _check_invariants(trace_error(state), hermiticity_error(state), times[0])
+    t_err, h_err = trace_error(state), hermiticity_error(state)
+    if not (t_err <= DIVERGENCE_FACTOR * TRACE_CONSERVATION_TOL):
+        raise PropagationDivergedError(
+            f"input state has trace error {t_err:.3e} at t = {times[0]!r}")
+    if not (h_err <= DIVERGENCE_FACTOR * HERMITICITY_TOL):
+        raise PropagationDivergedError(
+            f"input state has hermiticity error {h_err:.3e} at t = {times[0]!r}")
     out = [PCEState(coefficients=state.coefficients, t=times[0], basis=basis)]
     traces = np.trace(state.coefficients, axis1=1, axis2=2).real
     y = _coordinates(state.coefficients)  # C order, like the stage buffers

@@ -2,8 +2,8 @@
 
 Samples noise realizations (exact discrete Ornstein-Uhlenbeck or a truncated
 Karhunen-Loeve surrogate), propagates blocks of trajectories together with
-exact piecewise unitaries in the Schrodinger frame, and averages with running
-standard-error estimates on a tracked observable.  Each step is a Strang
+exact piecewise unitaries in the Schrodinger frame, and averages a tracked
+observable with its running standard error.  Each step is a Strang
 splitting: a half step of the drift h0, a noise kick that is diagonal in the
 eigenbasis of v, and another half step of the drift.  On the uniform grid
 these are the same matrices at every step, so one step costs one elementwise
@@ -15,9 +15,9 @@ the same arithmetic in any block: the OU recursion acts elementwise per
 row, the stepper's phase is elementwise and its basis change is a per-row
 einsum product, and KLE paths are per-row products.  So a path, and
 every result, is bit-identical for a given (seed, config) regardless of
-block size.  Accumulation reduces each batch in a single fixed-order sum and
-then folds batches in index order; the tracked observable's variance is a
-two-pass sum per batch, merged in batch order.
+block size.  A block's states live only until its observable samples are
+read from them; the samples' mean and variance are two-pass sums per
+batch, merged in batch order.
 """
 
 from dataclasses import dataclass
@@ -37,6 +37,7 @@ from .operators import (
 DEFAULT_STDERR_TARGET = 5e-3
 MAX_STEP_FRACTION = 100  # dt must not exceed horizon / 100
 MAX_TRAJECTORY_STEPS = 1_000_000  # one block's (BLOCK_SIZE, n_grid) paths: ~1 GB
+MAX_BATCH_BYTES = 2**30  # one batch's samples plus one block's recorded states
 GRID_UNIFORMITY_TOL = 1e-9
 # Trajectories stepped together as one (B, d*d) array.  This bounds the
 # per-block temporaries: the (B, n_steps) noise paths and step angles and
@@ -81,11 +82,12 @@ class MCConfig:
 
 @dataclass(frozen=True, eq=False)
 class MCEnsemble:
-    """Trajectory average: Schrodinger-frame mean state per output time,
-    standard error of the tracked observable, and the trajectory budget used."""
+    """Trajectory average: mean and standard error of the tracked observable
+    per output time, both from one fold of the samples, and the trajectory
+    budget used."""
 
     times: np.ndarray
-    mean_rho: np.ndarray  # (n_times, d, d)
+    obs_mean: np.ndarray  # (n_times,)
     stderr_obs: np.ndarray  # (n_times,)
     n_used: int
     converged: bool
@@ -270,26 +272,30 @@ class _EnsembleEngine:
         return np.stack([rng.standard_normal(n_modes) @ self.scaled_modes
                          for rng in rngs])
 
-    def run_block(self, indices: range, rho_out: np.ndarray,
-                  obs_out: np.ndarray) -> None:
-        """Recorded states and tracked-observable samples of the trajectories
-        in indices, written to the matching rows of rho_out and obs_out."""
+    def run_block(self, indices: range, obs_out: np.ndarray) -> None:
+        """Tracked-observable samples of the trajectories in indices, written
+        to the matching rows of obs_out; their recorded states fill one
+        block-sized buffer that is dropped on return."""
         paths = self.sample_paths(indices)
-        self.stepper.propagate(paths, self.rho0, self.record_idx, rho_out)
-        for rhos, obs in zip(rho_out, obs_out):
+        states = np.empty((len(indices), self.record_idx.size) + self.rho0.shape,
+                          dtype=complex)
+        self.stepper.propagate(paths, self.rho0, self.record_idx, states)
+        for rhos, obs in zip(states, obs_out):
             obs[:] = np.einsum("ij,tji->t", self.observable, rhos).real
 
 
 def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
                observable=SIGMA_X, kle: TruncatedKLE | None = None) -> MCEnsemble:
-    """Trajectory-averaged density matrix with stderr of the tracked observable.
+    """Trajectory average of the tracked observable, with its standard error.
 
     Runs trajectories in batches of config.batch; after each batch the
     max-over-time standard error of the observable is tested against
-    config.stderr_target and the run stops early once it is met.  Mean states
-    are in the Schrodinger frame, like the stepper's.  The result is
-    a pure function of (model, rho0, config, t_grid, observable): blocks
-    only split a batch, never reorder the reduction.
+    config.stderr_target and the run stops early once it is met.  The mean
+    and the stderr come from one fold of the samples (_merge_moments).  One
+    batch's (batch, n_out) samples plus one block's recorded states over
+    MAX_BATCH_BYTES raise CapacityError before any trajectory runs.  The
+    result is a pure function of (model, rho0, config, t_grid, observable):
+    blocks only split a batch, never reorder the reduction.
     """
     rho0 = validate_density_matrix(rho0)
     observable = check_hermitian(observable)
@@ -299,8 +305,14 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
     engine = _EnsembleEngine(model, rho0, config, t_out, observable, kle)
 
     n_out = engine.record_idx.size
-    d = model.dim
-    sum_rho = np.zeros((n_out, d, d), dtype=complex)
+    first_batch = min(config.batch, config.n_traj)
+    batch_bytes = n_out * (8 * first_batch
+                           + 16 * model.dim**2 * min(BLOCK_SIZE, first_batch))
+    if batch_bytes > MAX_BATCH_BYTES:
+        raise CapacityError(f"one Monte Carlo batch needs {batch_bytes} bytes "
+                            f"of samples and states, over the supported maximum "
+                            f"{MAX_BATCH_BYTES}; lower [mc] batch or "
+                            f"[pce] output_points")
     # Moments of the samples minus trajectory 0's.  A merge subtracts batch
     # means; shifted, they are of the size of the spread rather than of the
     # mean, so a tight spread around a mean near +-1 keeps its digits.
@@ -312,15 +324,12 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
 
     while n_used < config.n_traj and not converged:
         batch_n = min(config.batch, config.n_traj - n_used)
-        batch_rho = np.empty((batch_n, n_out, d, d), dtype=complex)
         batch_obs = np.empty((batch_n, n_out))
         for start in range(0, batch_n, BLOCK_SIZE):
             stop = min(start + BLOCK_SIZE, batch_n)
             engine.run_block(range(n_used + start, n_used + stop),
-                             batch_rho[start:stop], batch_obs[start:stop])
+                             batch_obs[start:stop])
 
-        # fixed-order reduction over the batch axis
-        sum_rho += np.sum(batch_rho, axis=0)
         if shift is None:
             shift = batch_obs[0].copy()
         deviations = np.subtract(batch_obs.T, shift[:, None], order="C")
@@ -332,7 +341,7 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
             converged = bool(np.max(stderr) <= config.stderr_target)
 
     return MCEnsemble(times=engine.t_grid[engine.record_idx],
-                      mean_rho=sum_rho / n_used,
+                      obs_mean=shift + mean_dev,
                       stderr_obs=_stderr(m2_obs, n_used),
                       n_used=n_used, converged=converged)
 

@@ -565,6 +565,33 @@ spacing = 0.1
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == f"numerical error: {message}\n"
 
+    @pytest.mark.parametrize("command,edits,message", [
+        ("pce", [("output_points = 200", "output_points = 2000000")],
+         "2000000 records of 220 coefficients need 28160000000 bytes, over "
+         "the supported maximum 1073741824; lower [pce] output_points"),
+        ("mc", [("n_traj = 20000", "n_traj = 1000000000000"),
+                ("batch = 500", "batch = 1000000000000")],
+         "one Monte Carlo batch needs 1600000001638400 bytes of samples and "
+         "states, over the supported maximum 1073741824; lower [mc] batch "
+         "or [pce] output_points"),
+    ])
+    def test_oversized_output_exits_2_at_once(self, tmp_path, capsys,
+                                              command, edits, message):
+        """Output too large to hold is a typed error raised before any
+        integration.  On fig2, output_points = 2000000 once integrated on
+        toward 28 GB of records, and a batch of 10^12 trajectories died on
+        an 11.4 PiB allocation with a traceback."""
+        text = (resources.files("stochpce") / "presets" / "fig2.ini").read_text()
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        start = time.perf_counter()
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err == f"numerical error: {message}\n"
+
     def test_bad_seed_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["mc", "--config", cfg, "--seed", "-5"]) == 1

@@ -59,7 +59,6 @@ from stochpce.hierarchy import (
     _rk4_steps,
     _runs,
     _sparse_product,
-    _structure_constants,
     _summed_couplings,
     hermiticity_error,
     mean_state,
@@ -287,15 +286,6 @@ class TestTracelessCoordinates:
         err = np.abs(back.real[:, diag, diag] - x.real[:, diag, diag])
         largest = np.max(np.abs(x.real[:, diag, diag]), axis=1, keepdims=True)
         assert np.all(err <= np.spacing(largest))
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_structure_constants_are_totally_antisymmetric(self, d):
-        constants = _structure_constants(d)
-        assert constants.shape == (d * d - 1,) * 3
-        assert np.max(np.abs(constants)) > 0.5
-        for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-            np.testing.assert_array_equal(constants,
-                                          -constants.transpose(axes))
 
 
 class TestWeightedSets:
@@ -565,6 +555,30 @@ class TestPropagateValidation:
         with pytest.raises(ValueError):
             propagate(self.state, self.model, self.kle, self.couplings,
                       [0.0, 1.0], dt_max=float("nan"))
+
+    def test_oversized_records_are_a_capacity_error(self, monkeypatch):
+        """The records of one call, T * N * d * d complex entries, over
+        MAX_RECORD_BYTES raise before any RK4 step.  fig2's 201 records of
+        220 coefficients take 201 * 220 * 4 * 16 bytes; the bound is
+        inclusive."""
+        model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+        kle = build_kle(model, 3)
+        basis = enumerate_indices(3, 9)
+        couplings = build_couplings(basis)
+        state = initial_pce_state(RHO_PLUS_X, basis)
+        t_grid = np.linspace(0.0, 1.0, 201)
+        record_bytes = 201 * 220 * 4 * 16
+        with monkeypatch.context() as patch:
+            patch.setattr(hierarchy, "MAX_RECORD_BYTES", record_bytes - 1)
+            patch.setattr(hierarchy, "_rk4_steps",
+                          lambda *args: pytest.fail("integrated"))
+            with pytest.raises(CapacityError,
+                               match=f"201 records of 220 coefficients need "
+                                     f"{record_bytes} bytes"):
+                propagate(state, model, kle, couplings, t_grid, dt_max=5e-3)
+        monkeypatch.setattr(hierarchy, "MAX_RECORD_BYTES", record_bytes)
+        assert len(propagate(state, model, kle, couplings, t_grid,
+                             dt_max=5e-3)) == 201
 
     def test_diverged_trace_detected(self):
         bad = np.zeros((self.basis.size, 2, 2), dtype=complex)

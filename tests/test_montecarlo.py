@@ -1,5 +1,6 @@
 """Trajectory sampler, piecewise-exact stepping, and the ensemble engine."""
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -12,6 +13,7 @@ from stochpce import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Z,
+    CapacityError,
     DimensionMismatchError,
     MCConfig,
     OrnsteinUhlenbeckKernel,
@@ -300,15 +302,16 @@ class TestEnsemble:
         assert result.converged
         assert result.n_used == 10
         assert np.max(result.stderr_obs) < 1e-6
-        for k, u0 in enumerate(frame_rotations(model, t_out)):
-            np.testing.assert_allclose(result.mean_rho[k],
-                                       u0 @ RHO_PLUS_X @ u0.conj().T,
-                                       atol=1e-12)
+        u0 = frame_rotations(model, t_out)
+        np.testing.assert_allclose(
+            result.obs_mean,
+            sx_curve(u0 @ RHO_PLUS_X @ u0.conj().transpose(0, 2, 1)),
+            rtol=0, atol=1e-12)
 
     def test_initial_time_reports_rho0_exactly(self):
         """U0(0) is exactly the identity, so at t = 0 Monte Carlo reports
-        rho0 itself and its stderr is exactly zero (fig2 model); the chaos
-        mean there is phi_0 = rho0."""
+        rho0's <sx> itself and its stderr is exactly zero (fig2 model); the
+        chaos mean there is phi_0 = rho0."""
         model = make_model()
         np.testing.assert_array_equal(frame_rotations(model, 0.0),
                                       np.eye(2, dtype=complex))
@@ -316,22 +319,9 @@ class TestEnsemble:
                           stderr_target=1e-12)
         result = mc_average(model, RHO_PLUS_X, config, np.linspace(0, 1, 6))
         assert result.stderr_obs[0] == 0.0
-        np.testing.assert_array_equal(result.mean_rho[0], RHO_PLUS_X)
+        assert result.obs_mean[0] == sx_curve(RHO_PLUS_X[None])[0] == 1.0
         state = initial_pce_state(RHO_PLUS_X, enumerate_indices(3, 2))
         np.testing.assert_array_equal(mean_state(state), RHO_PLUS_X)
-
-    def test_mean_state_is_physical(self):
-        model = make_model()
-        config = MCConfig(n_traj=200, dt=0.01, seed=11, batch=100,
-                          stderr_target=1e-12)
-        result = mc_average(model, RHO_PLUS_X, config, np.linspace(0, 1, 6))
-        assert not result.converged
-        assert result.n_used == 200
-        traces = np.trace(result.mean_rho, axis1=1, axis2=2)
-        np.testing.assert_allclose(traces, 1.0, atol=1e-10)
-        np.testing.assert_allclose(
-            result.mean_rho,
-            result.mean_rho.conj().transpose(0, 2, 1), atol=1e-12)
 
     def test_deterministic_in_seed(self):
         model = make_model()
@@ -340,13 +330,13 @@ class TestEnsemble:
                           stderr_target=1e-12)
         a = mc_average(model, RHO_PLUS_X, config, t_out)
         b = mc_average(model, RHO_PLUS_X, config, t_out)
-        np.testing.assert_array_equal(a.mean_rho, b.mean_rho)
+        np.testing.assert_array_equal(a.obs_mean, b.obs_mean)
         np.testing.assert_array_equal(a.stderr_obs, b.stderr_obs)
 
         other = MCConfig(n_traj=120, dt=0.01, seed=22, batch=40,
                          stderr_target=1e-12)
         c = mc_average(model, RHO_PLUS_X, other, t_out)
-        assert not np.array_equal(a.mean_rho, c.mean_rho)
+        assert not np.array_equal(a.obs_mean, c.obs_mean)
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         """Blocks split a batch but never reorder the reduction, so the
@@ -375,9 +365,46 @@ class TestEnsemble:
                         runs.append(mc_average(model, RHO_PLUS_X, config, t_out,
                                                kle=kle))
                 whole, blocked = runs
-                np.testing.assert_array_equal(whole.mean_rho, blocked.mean_rho)
+                np.testing.assert_array_equal(whole.obs_mean, blocked.obs_mean)
                 np.testing.assert_array_equal(whole.stderr_obs, blocked.stderr_obs)
                 assert whole.n_used == blocked.n_used == case["n_traj"]
+
+    def test_memory_holds_one_block_of_states(self):
+        """A batch keeps only its observable samples; the recorded states of
+        one block at a time are dropped once read.  A qutrit batch of 1000
+        trajectories at 201 output times once held all their states, a
+        traced peak of 32.3 MB; now it is 5.8 MB."""
+        model = make_model(alpha=2.0, tau_c=1.0, h0=H0_3, v=V_3)
+        config = MCConfig(n_traj=1000, dt=0.005, seed=9, batch=1000,
+                          stderr_target=1e-12)
+        tracemalloc.start()
+        try:
+            result = mc_average(model, RHO_3, config,
+                                np.linspace(0.0, 1.0, 201), observable=V_3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_used == 1000
+        assert peak <= 10e6
+
+    def test_oversized_batch_is_a_capacity_error(self, monkeypatch):
+        """One batch's (batch, n_out) float samples plus one block's complex
+        (rows, n_out, d, d) states over MAX_BATCH_BYTES raise before any
+        trajectory runs; fig2 with a 10^12-trajectory batch once died on an
+        11.4 PiB allocation.  The bound is inclusive: 6 output times, a
+        batch of 10 in one block, 6 (10 * 8 + 10 * 4 * 16) = 4320 bytes."""
+        t_out = np.linspace(0.0, 1.0, 6)
+        config = MCConfig(n_traj=10, dt=0.01, seed=1, batch=10)
+        monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", 4320)
+        assert mc_average(make_model(), RHO_PLUS_X, config, t_out).n_used == 10
+        monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", 4319)
+        with pytest.raises(CapacityError, match="4320 bytes"):
+            mc_average(make_model(), RHO_PLUS_X, config, t_out)
+        monkeypatch.undo()
+        huge = MCConfig(n_traj=10**12, dt=0.002, seed=1, batch=10**12)
+        with pytest.raises(CapacityError,
+                           match=r"lower \[mc\] batch or \[pce\] output_points"):
+            mc_average(make_model(), RHO_PLUS_X, huge, np.linspace(0, 1, 200))
 
     def test_stderr_scales_inverse_sqrt(self):
         """Quadrupling the trajectory budget halves the standard error;
@@ -400,8 +427,9 @@ class TestEnsemble:
     def test_stderr_matches_exact_rational_two_pass(self):
         """fig1_bottom's <sx> sits near +-1 with a spread down to ~1e-4, where
         a one-pass variance loses about 7 digits.  Over 400 trajectories, in
-        one batch or merged from several, the stderr matches an exact
-        rational two-pass sum over the same samples to 1e-15 relative."""
+        one batch or merged from several, the mean and the stderr match an
+        exact rational two-pass sum over the same samples to 1e-15
+        relative."""
         text = (resources.files("stochpce") / "presets" / "fig1_bottom.ini").read_text()
         run = parse_config(text)
         model, rho0 = run.build_model(), run.build_rho0()
@@ -409,18 +437,20 @@ class TestEnsemble:
         t_out = run.output_times()
         engine = montecarlo._EnsembleEngine(model, rho0, config, t_out,
                                             SIGMA_X, None)
-        rhos = np.empty((400, t_out.size, 2, 2), dtype=complex)
         samples = np.empty((400, t_out.size))
-        engine.run_block(range(400), rhos, samples)
-        exact = np.empty(t_out.size)
+        engine.run_block(range(400), samples)
+        exact, exact_mean = np.empty(t_out.size), np.empty(t_out.size)
         for j in range(t_out.size):
             column = [Fraction(float(x)) for x in samples[:, j]]
             mean = sum(column) / 400
             variance = sum((x - mean) ** 2 for x in column) / 399
             exact[j] = math.sqrt(variance / 400)
+            exact_mean[j] = float(mean)
         assert exact[0] == 0.0 and np.min(exact[1:]) < 1e-5
         for batch in (500, 100, 37):  # the preset's one batch, then merges
             result = mc_average(model, rho0, replace(config, batch=batch), t_out)
+            np.testing.assert_allclose(result.obs_mean, exact_mean,
+                                       rtol=1e-15, atol=0)
             assert result.stderr_obs[0] == 0.0
             np.testing.assert_allclose(result.stderr_obs[1:], exact[1:],
                                        rtol=1e-15, atol=0)
@@ -474,10 +504,9 @@ class TestEnsemble:
 
         exact = run("exact_ou", 31)
         surrogate = run("kle", 77)
-        gap = np.abs(exact.mean_rho[:, 0, 1] + exact.mean_rho[:, 1, 0]
-                     - surrogate.mean_rho[:, 0, 1] - surrogate.mean_rho[:, 1, 0])
+        gap = np.abs(exact.obs_mean - surrogate.obs_mean)
         budget = 4 * (exact.stderr_obs + surrogate.stderr_obs) + 0.02
-        assert np.all(gap.real <= budget)
+        assert np.all(gap <= budget)
 
     def test_grid_validation(self):
         model = make_model()
