@@ -282,15 +282,19 @@ def _split_sections(text: str) -> dict:
 
 
 def _check_operator(key: str, spec: str, h0_shape: tuple | None,
-                    line: int | None) -> tuple:
+                    line: int | None, section: str) -> tuple:
     """Shape of the operator spec, which must have h0's shape (h0_shape is
-    None for h0 itself), be Hermitian and, for rho0, be a density matrix."""
+    None for h0 itself), be Hermitian and, for rho0, be a density matrix.
+    line is None where the run file leaves key out and spec is its default,
+    so a shape error names the default and the section to set key in."""
     matrix = parse_operator(spec, line)
     shape = h0_shape or matrix.shape
     if matrix.shape != shape:
+        default = f" (the default {spec})" if line is None else ""
+        advice = f"; set '{key}' in [{section}]" if line is None else ""
         raise ConfigError(
-            f"'{key}' is {matrix.shape[0]}x{matrix.shape[1]} but h0 is "
-            f"{shape[0]}x{shape[1]}", line)
+            f"'{key}' is {matrix.shape[0]}x{matrix.shape[1]}{default} but h0 "
+            f"is {shape[0]}x{shape[1]}{advice}", line)
     try:
         (validate_density_matrix if key == "rho0" else check_hermitian)(matrix)
     except InvalidOperatorError as exc:
@@ -322,7 +326,7 @@ def parse_config(text: str) -> RunConfig:
     h0_shape = None
     for key, spec in (("h0", h0), ("v", v), ("rho0", rho0)):
         _, line = model_s.raw(key)
-        h0_shape = _check_operator(key, spec, h0_shape, line)
+        h0_shape = _check_operator(key, spec, h0_shape, line, "model")
     model = ModelConfig(h0=h0, v=v, tau=tau, rho0=rho0)
 
     kind = noise_s.get_str("kind", default="ou", choices={"ou", "tabulated"})
@@ -392,7 +396,7 @@ def parse_config(text: str) -> RunConfig:
 
     observable = output_s.get_str("observable", default="sx")
     _, line = output_s.raw("observable")
-    _check_operator("observable", observable, h0_shape, line)
+    _check_operator("observable", observable, h0_shape, line, "output")
     output = OutputConfig(prefix=output_s.get_str("prefix", default="run"),
                           observable=observable)
 

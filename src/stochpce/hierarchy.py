@@ -31,7 +31,7 @@ CSR matrix whose pattern never changes.  Public states stay complex (N, d, d).
 
 One RHS is then one small dense product and one sparse product, and at these
 sizes their cost is mostly call overhead.  So each RK4 stage writes into
-buffers allocated once per run of steps, and _rhs calls SciPy's
+buffers allocated once per range of steps, and _rhs calls SciPy's
 csr_matvecs kernel on them directly rather than the matrix's `@`, which
 adds operator dispatch and a fresh result array.
 
@@ -83,9 +83,8 @@ WEIGHTED_NORM_TOL = 1e-8
 DIVERGENCE_FACTOR = 100.0
 MEAN_TRACE_TOL = 1e-6
 DEFAULT_SUBSTEP_FRACTION = 2000
-BLOCK_SIZE = 16  # output intervals integrated per block, at most
-BLOCK_STAGES = 512  # RK4 stages per block, at most, unless one interval has more
-RUN_STEPS = (BLOCK_STAGES - 1) // 2  # steps per run of such an interval
+BLOCK_SIZE = 16  # records per propagate chunk and per read-out block, at most
+BLOCK_STAGES = 512  # RK4 stages per chunk, at most
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +259,7 @@ def _blockwise(records: list, reduce) -> np.ndarray:
     treat each record on its own, so the result does not depend on the
     blocking.  Only one block's copy of the coefficients is live at a time:
     a read-out of all records then needs no more memory than propagate's
-    records of a block.
+    records of a chunk.
     """
     basis = records[0].basis
     if any(r.basis is not basis and r.basis.indices != basis.indices
@@ -448,37 +447,36 @@ def _rk4_steps(product, generator: np.ndarray, data: np.ndarray, h: float,
         np.add(y, increment, out=y)
 
 
-def _blocks(steps):
-    """Consecutive ranges of output intervals, given each one's RK4 step
-    count: up to BLOCK_SIZE intervals with up to BLOCK_STAGES stages in all
-    (2 steps + 1 per interval), or one interval that alone has more."""
-    first = 0
-    while first < len(steps):
-        stop, stages = first + 1, 2 * steps[first] + 1
-        while (stop < min(first + BLOCK_SIZE, len(steps))
-               and stages + 2 * steps[stop] + 1 <= BLOCK_STAGES):
-            stages += 2 * steps[stop] + 1
-            stop += 1
-        yield range(first, stop)
-        first = stop
-
-
-def _runs(block: range, steps):
-    """The block's work as runs of (interval, first step, stop step), each
-    run at most BLOCK_STAGES stages: the whole block as one run, or an
-    interval over the budget alone as runs of RUN_STEPS steps."""
-    n_steps = steps[block.start]
-    if len(block) > 1 or 2 * n_steps + 1 <= BLOCK_STAGES:
-        return [[(i, 0, steps[i]) for i in block]]
-    return [[(block.start, first, min(first + RUN_STEPS, n_steps))]
-            for first in range(0, n_steps, RUN_STEPS)]
+def _chunks(steps):
+    """The RK4 work of the output intervals, given each one's (positive)
+    step count, as chunks: lists of (interval, first step, stop step)
+    ranges that walk every interval's steps in order.  A chunk closes before
+    it would exceed BLOCK_STAGES stages (2 (stop - first) + 1 per range) or
+    once BLOCK_SIZE intervals have ended in it; an interval is split where
+    the stage budget runs out.  A fresh chunk takes at least one step."""
+    chunk, stages, ended = [], 0, 0
+    for i, n_steps in enumerate(steps):
+        first = 0
+        while first < n_steps:
+            # close the chunk if not one more step fits or it is out of ends
+            if chunk and (stages + 3 > BLOCK_STAGES or ended == BLOCK_SIZE):
+                yield chunk
+                chunk, stages, ended = [], 0, 0
+            stop = min(n_steps, first + max(1, (BLOCK_STAGES - stages - 1) // 2))
+            chunk.append((i, first, stop))
+            stages += 2 * (stop - first) + 1
+            first = stop
+        ended += 1
+    if chunk:
+        yield chunk
 
 
 def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
               couplings: GalerkinCouplings, t_grid, dt_max: float | None = None):
     """Integrate the hierarchy with fixed-step classic RK4, Schrodinger frame.
 
-    Records a PCEState at every t_grid point (the first must equal state.t).
+    Records a PCEState at every t_grid point (the first must equal state.t,
+    the last must not pass model.horizon, where the KL modes end).
     Within each output interval the step is the largest uniform step not
     exceeding dt_max (default horizon / 2000); over MAX_RK4_STEPS steps in
     all raise CapacityError.  Between records the
@@ -487,21 +485,20 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     one sparse real product.  The flow conserves every trace, so the traces
     are read once from the input state and carried as constants.
 
-    The grid is integrated in blocks of BLOCK_SIZE output intervals, fewer
-    where their steps would exceed BLOCK_STAGES stages (_blocks).
-    s_n(t) = sqrt(lambda_n) g_n(t) are built once per block, on all its
-    intervals' stages on the half-step grid, so the integrator itself does
-    no quadrature.  An interval with more stages than that is integrated in
-    runs of RUN_STEPS steps with the same step size, each run with its own
-    stage data (_runs), so memory does not grow with the steps per interval.
-    The data of the summed matrix, weight * s_n(t) and the drift's 1, are built per
-    interval or run and pre-scaled by the RK4 stage factors h/2, h and h/6
-    (_rk4_steps).  The block's records are converted back to Hermitian
-    matrices together (_matrices), with their input traces, so trace and
-    hermiticity hold by construction and only the weighted-norm check can
-    see an integrator fault.  The input state is checked for trace and
-    hermiticity drift before it is converted, and every record for
-    weighted-norm growth at the end of its block, with both norms taken
+    The steps are integrated in chunks of at most BLOCK_STAGES stages in
+    which at most BLOCK_SIZE intervals end (_chunks); a long interval spans
+    several chunks with the same step size, so memory does not grow with
+    the steps per interval.  s_n(t) = sqrt(lambda_n) g_n(t) are built once
+    per chunk, on the stages of all its ranges on the half-step grid, so
+    the integrator itself does no quadrature.  The data of the summed
+    matrix, weight * s_n(t) and the drift's 1, are built per range and
+    pre-scaled by the RK4 stage factors h/2, h and h/6 (_rk4_steps).  The
+    records of the intervals that end in a chunk are converted back to
+    Hermitian matrices together (_matrices), with their input traces, so
+    trace and hermiticity hold by construction and only the weighted-norm
+    check can see an integrator fault.  The input state is checked for trace
+    and hermiticity drift before it is converted, and every record for
+    weighted-norm growth at the end of its chunk, with both norms taken
     from the coordinates and the traces (_coordinate_norms).
     PropagationDivergedError names the first failing time and the first
     check that fails there.
@@ -524,6 +521,9 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
         raise ValueError(f"t_grid starts at {t_grid[0]!r}, state is at {state.t!r}")
     if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
+    if t_grid[-1] > model.horizon * (1 + 1e-12):
+        raise ValueError(f"t_grid ends at {float(t_grid[-1])!r}, past the model "
+                         f"horizon {model.horizon!r} that the KL modes cover")
     if dt_max is None:
         dt_max = model.horizon / DEFAULT_SUBSTEP_FRACTION
     if not (dt_max > 0):
@@ -563,23 +563,23 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     product = _sparse_product(summed, d * d - 1)
     norm0 = float(_coordinate_norms(y, traces, d))
     sizes = [(t1 - t0) / n for t0, t1, n in zip(times[:-1], times[1:], steps)]
-    for block in _blocks(steps):
-        records = np.empty((len(block), basis.size, d * d - 1))
-        for run in _runs(block, steps):
-            stage_times = np.concatenate(
-                [times[i] + (sizes[i] / 2) * np.arange(2 * first, 2 * stop + 1)
-                 for i, first, stop in run])
-            s_stage = scaled_modes_matrix(kle.modes, model.kernel, stage_times)
-            s_stage = np.vstack([s_stage, np.ones(stage_times.size)])  # the drift's s
-            start = 0
-            for i, first, stop in run:
-                stages = slice(start, start + 2 * (stop - first) + 1)
-                _rk4_steps(product, generator,
-                           s_stage[:, stages].T @ mode_weights, sizes[i], y)
-                if stop == steps[i]:
-                    records[i - block.start] = y
-                start = stages.stop
-        record_times = times[block.start + 1:block.stop + 1]
+    for chunk in _chunks(steps):
+        stage_times = np.concatenate(
+            [times[i] + (sizes[i] / 2) * np.arange(2 * first, 2 * stop + 1)
+             for i, first, stop in chunk])
+        s_stage = scaled_modes_matrix(kle.modes, model.kernel, stage_times)
+        s_stage = np.vstack([s_stage, np.ones(stage_times.size)])  # the drift's s
+        record_times = [times[i + 1] for i, _, stop in chunk if stop == steps[i]]
+        records = np.empty((len(record_times), basis.size, d * d - 1))
+        start = ended = 0
+        for i, first, stop in chunk:
+            stages = slice(start, start + 2 * (stop - first) + 1)
+            _rk4_steps(product, generator,
+                       s_stage[:, stages].T @ mode_weights, sizes[i], y)
+            if stop == steps[i]:
+                records[ended] = y
+                ended += 1
+            start = stages.stop
         norms = _coordinate_norms(records, traces, d).tolist()
         for t, norm in zip(record_times, norms):
             _check_weighted_norm(norm, norm0, t)

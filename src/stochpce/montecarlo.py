@@ -38,7 +38,7 @@ DEFAULT_STDERR_TARGET = 5e-3
 MAX_STEP_FRACTION = 100  # dt must not exceed horizon / 100
 MAX_TRAJECTORY_STEPS = 1_000_000  # one block's (BLOCK_SIZE, n_grid) paths: ~1 GB
 MAX_BATCH_BYTES = 2**30  # one batch's samples plus one block's recorded states
-GRID_UNIFORMITY_TOL = 1e-9
+GRID_UNIFORMITY_TOL = 1e-9  # relative to the grid's first step
 # Trajectories stepped together as one (B, d*d) array.  This bounds the
 # per-block temporaries: the (B, n_steps) noise paths and step angles and
 # the (B, d*d) operands of each step.
@@ -107,7 +107,7 @@ def _require_uniform(t_grid: np.ndarray) -> float:
     dt = float(steps[0])
     if not (dt > 0):
         raise ValueError(f"grid must increase, got a step of {dt!r}")
-    if np.any(np.abs(steps - dt) > GRID_UNIFORMITY_TOL * max(dt, 1.0)):
+    if np.any(np.abs(steps - dt) > GRID_UNIFORMITY_TOL * dt):
         raise ValueError("grid must be uniform")
     return dt
 
@@ -224,6 +224,9 @@ def _resolve_step_grid(model: StochasticModel, config: MCConfig,
     out_dt = _require_uniform(t_out)
     if abs(t_out[0]) > 1e-12:
         raise ValueError("output grid must start at t = 0")
+    if t_out[-1] > model.horizon * (1 + 1e-12):
+        raise ValueError(f"output grid ends at {float(t_out[-1])!r}, past the "
+                         f"model horizon {model.horizon!r} that the noise covers")
     if config.dt > model.horizon / MAX_STEP_FRACTION * (1 + 1e-12):
         raise ValueError(
             f"dt = {config.dt!r} exceeds horizon/{MAX_STEP_FRACTION}")
@@ -290,8 +293,10 @@ def mc_average(model: StochasticModel, rho0, config: MCConfig, t_grid,
 
     Runs trajectories in batches of config.batch; after each batch the
     max-over-time standard error of the observable is tested against
-    config.stderr_target and the run stops early once it is met.  The mean
-    and the stderr come from one fold of the samples (_merge_moments).  One
+    config.stderr_target and the run stops early once it is met.  t_grid
+    must be uniform, start at 0 and end by model.horizon, where the noise
+    is defined (ValueError otherwise).  The mean and the stderr come from
+    one fold of the samples (_merge_moments).  One
     batch's (batch, n_out) samples plus one block's recorded states over
     MAX_BATCH_BYTES raise CapacityError before any trajectory runs.  The
     result is a pure function of (model, rho0, config, t_grid, observable):

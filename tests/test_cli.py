@@ -505,6 +505,31 @@ class TestExitCodes:
             assert BAD_RUN_FILE_ERRORS.get(new, "is 3x3 but h0 is 2x2") in err
             assert not os.path.exists(tmp_path / f"out_{command}.csv")
 
+    @pytest.mark.parametrize("key,default,section,edits", [
+        ("rho0", "0.5*id + 0.5*sx", "model", ()),
+        ("observable", "sx", "output",
+         (("tau = 1.0", "tau = 1.0\nrho0 = matrix [[1, 0, 0], [0, 0, 0], [0, 0, 0]]"),
+          ("observable = sx\n", ""))),
+    ])
+    def test_default_operator_dimension_mismatch(self, tmp_path, capsys, key,
+                                                 default, section, edits):
+        """A qutrit run file that leaves rho0 or the observable out gets the
+        2x2 default; the error says it is the default and where to set it."""
+        text = TINY.replace(
+            "h0 = sx\nv = sz",
+            "h0 = matrix [[0, 1, 0], [1, 0, 1], [0, 1, 0]]\n"
+            "v = matrix [[1, 0, 0], [0, 0, 0], [0, 0, -1]]")
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        for command in ("pce", "mc", "compare"):
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"config error: '{key}' is 2x2 (the default {default}) but h0 "
+                f"is 3x3; set '{key}' in [{section}]")
+
     def test_numerical_error(self, tmp_path, capsys):
         """A tabulated kernel violating C(0) >= |C(lag)| fails positivity."""
         table = tmp_path / "bad_kernel.txt"

@@ -50,14 +50,13 @@ from stochpce.hierarchy import (
     DIVERGENCE_FACTOR,
     WEIGHTED_NORM_TOL,
     PCEState,
-    _blocks,
     _check_weighted_norm,
+    _chunks,
     _commutator_matrix,
     _coordinates,
     _matrices,
     _rhs,
     _rk4_steps,
-    _runs,
     _sparse_product,
     _summed_couplings,
     hermiticity_error,
@@ -548,6 +547,18 @@ class TestPropagateValidation:
         with pytest.raises(ValueError, match="finite"):
             propagate(self.state, self.model, self.kle, self.couplings, t_grid)
 
+    def test_grid_must_end_by_the_horizon(self):
+        """The KL modes represent the noise on [0, horizon] only: a grid to
+        t = 3 on horizon 1 is an error that names both times, and a grid
+        that ends at the horizon up to rounding runs."""
+        with pytest.raises(ValueError, match=re.escape(
+                "t_grid ends at 3.0, past the model horizon 1.0")):
+            propagate(self.state, self.model, self.kle, self.couplings,
+                      [0.0, 1.0, 3.0])
+        states = propagate(self.state, self.model, self.kle, self.couplings,
+                           [0.0, 1.0 + 1e-13], dt_max=0.05)
+        assert states[-1].t == 1.0 + 1e-13
+
     def test_dt_max_must_be_positive(self):
         with pytest.raises(ValueError):
             propagate(self.state, self.model, self.kle, self.couplings,
@@ -630,10 +641,10 @@ class TestPropagateValidation:
                       dt_max=0.25)
 
     def test_divergence_inside_a_block_names_its_record(self, monkeypatch):
-        """Records are checked at the end of their block, but the error names
+        """Records are checked at the end of their chunk, but the error names
         the first failing time.  Four short intervals are stable; the fifth
         (one step of 0.246) is not, and three records follow it in the same
-        block.  The expected time comes from chained one-interval runs with
+        chunk.  The expected time comes from chained one-interval runs with
         the checks switched off."""
         model = make_model(OrnsteinUhlenbeckKernel(30.0, 1.0))
         kle = build_kle(model, 2)
@@ -676,9 +687,11 @@ class TestPropagation:
             assert abs(weighted_norm(st) - norm0) <= 1e-9
 
     def test_blocks_match_chained_single_intervals(self):
-        """Integrating in blocks of BLOCK_SIZE intervals gives the chained
-        one-interval results, on an uneven grid of three full blocks and a
-        partial one whose intervals take 1 to 4 steps each."""
+        """Integrating in chunks of BLOCK_SIZE intervals gives the chained
+        one-interval results, on an uneven grid of three full chunks and a
+        partial one whose intervals take 1 to 4 steps each.  The complex to
+        coordinate round trip between the chained runs is not bitwise, so
+        the bound is 1e-14."""
         model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
         kle = build_kle(model, 2)
         basis = enumerate_indices(2, 4)
@@ -698,28 +711,44 @@ class TestPropagation:
         assert np.max(np.abs(expected[-1, 1:])) > 0.01  # the noise moved it
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
-    def test_blocks_respect_the_stage_budget(self):
-        """Blocks tile the intervals in order with at most BLOCK_SIZE
-        intervals and BLOCK_STAGES stages each, unless one interval alone
-        has more stages."""
-        big = BLOCK_STAGES // 2  # 2 * big + 1 stages: over budget alone
-        steps = [1] * (BLOCK_SIZE + 3) + [big] + [big // 2] * 3 + [1]
-        blocks = list(_blocks(steps))
-        assert [i for block in blocks for i in block] == list(range(len(steps)))
-        assert [len(block) for block in blocks] == [BLOCK_SIZE, 3, 1, 1, 1, 2]
-        for block in blocks:
-            stages = sum(2 * steps[i] + 1 for i in block)
-            assert stages <= BLOCK_STAGES or len(block) == 1
+    @pytest.mark.parametrize("block_stages,block_size", [
+        (BLOCK_STAGES, BLOCK_SIZE), (7, 1), (7, 3), (40, 2)])
+    def test_chunks_tile_the_steps_within_both_caps(self, monkeypatch,
+                                                    block_stages, block_size):
+        """Chunks walk every interval's steps in order, hold at most
+        BLOCK_STAGES stages and BLOCK_SIZE interval ends each, and split an
+        interval only where not one more step fits."""
+        monkeypatch.setattr(hierarchy, "BLOCK_STAGES", block_stages)
+        monkeypatch.setattr(hierarchy, "BLOCK_SIZE", block_size)
+        big = block_stages // 2  # 2 * big + 1 stages: over budget alone
+        steps = ([1] * (block_size + 3) + [big, 3 * big + 5]
+                 + [max(1, big // 2)] * 3 + [1, 2])
+        chunks = list(_chunks(steps))
+        ranges = [r for chunk in chunks for r in chunk]
+        walked = [(i, step) for i, first, stop in ranges
+                  for step in range(first, stop)]
+        assert walked == [(i, step) for i, n in enumerate(steps)
+                          for step in range(n)]
+        for pos, chunk in enumerate(chunks):
+            stages = sum(2 * (stop - first) + 1 for _, first, stop in chunk)
+            ends = sum(stop == steps[i] for i, _, stop in chunk)
+            assert 0 < stages <= block_stages and ends <= block_size
+            full = stages + 3 > block_stages
+            assert pos == len(chunks) - 1 or full or ends == block_size
+            for i, _, stop in chunk[:-1]:
+                assert stop == steps[i]  # a split range ends its chunk
+            if chunk[-1][2] < steps[chunk[-1][0]]:
+                assert full
+        if (block_stages, block_size) == (BLOCK_STAGES, BLOCK_SIZE):
+            assert [chunk[-1] for chunk in chunks] == [
+                (15, 0, 1), (19, 0, 251), (20, 0, 250), (20, 250, 505),
+                (20, 505, 760), (22, 0, 113), (25, 0, 2)]
 
     def test_long_interval_runs(self, monkeypatch):
-        """An interval over the stage budget is integrated in runs of
-        RUN_STEPS steps; the records match one unsplit run to 1e-14."""
-        n_steps = 2 * hierarchy.RUN_STEPS + 90
-        assert _runs(range(0, 1), [n_steps]) == [
-            [(0, 0, hierarchy.RUN_STEPS)],
-            [(0, hierarchy.RUN_STEPS, 2 * hierarchy.RUN_STEPS)],
-            [(0, 2 * hierarchy.RUN_STEPS, n_steps)]]
-        assert _runs(range(3, 5), [0, 0, 0, 7, 9]) == [[(3, 0, 7), (4, 0, 9)]]
+        """An interval over the stage budget is integrated over several
+        chunks; on Nystrom modes, whose GEMV bits move with the number of
+        stage times, the records match one unsplit chunk to 1e-14."""
+        n_steps = 600  # the last interval, 0.59 of 0.6, spans three chunks
         model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
         kle = build_kle(model, 2)
         basis = enumerate_indices(2, 3)
@@ -735,9 +764,31 @@ class TestPropagation:
         assert np.max(np.abs(expected[-1, 1:])) > 0.01  # the noise moved it
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
+    def test_chunking_changes_no_bit_on_closed_form_modes(self, monkeypatch):
+        """On closed-form OU modes every stage value is computed on its own,
+        so the records are bitwise the same for the default chunks, one
+        chunk for the whole grid and chunks of one to three steps."""
+        model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+        modes = ou_modes(model.kernel, model.horizon, n_modes=6)
+        kle = select_modes(modes, cumulative_rates(modes, model), 2)
+        basis = enumerate_indices(2, 3)
+        couplings = build_couplings(basis)
+        state = initial_pce_state(RHO_PLUS_X, basis)
+        grid = np.concatenate([[0.0, 0.3], 0.3 + np.arange(1, 36) * 0.02])
+        records = []
+        for block_stages, block_size in ((BLOCK_STAGES, BLOCK_SIZE),
+                                         (10 ** 9, 10 ** 9), (7, 1)):
+            monkeypatch.setattr(hierarchy, "BLOCK_STAGES", block_stages)
+            monkeypatch.setattr(hierarchy, "BLOCK_SIZE", block_size)
+            states = propagate(state, model, kle, couplings, grid, dt_max=1e-3)
+            records.append(np.array([st.coefficients for st in states]))
+        assert np.max(np.abs(records[0][-1, 1:])) > 0.01  # the noise moved it
+        np.testing.assert_array_equal(records[1], records[0])
+        np.testing.assert_array_equal(records[2], records[0])
+
     def test_peak_memory_does_not_grow_with_steps(self):
         """One output interval of ~20000 steps peaks within 1.5x of one of
-        ~500 steps: stage data are built per run, not per interval."""
+        ~500 steps: stage data are built per chunk, not per interval."""
         model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
         kle = build_kle(model, 2)
         basis = enumerate_indices(2, 2)

@@ -1,5 +1,6 @@
 """Trajectory sampler, piecewise-exact stepping, and the ensemble engine."""
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -524,6 +525,37 @@ class TestEnsemble:
         big_dt = MCConfig(n_traj=10, dt=0.5, seed=1)
         with pytest.raises(ValueError):
             mc_average(model, RHO_PLUS_X, big_dt, np.linspace(0, 1, 6))
+
+    @pytest.mark.parametrize("sampler", ["exact_ou", "kle"])
+    def test_grid_must_end_by_the_horizon(self, sampler):
+        """The noise is represented on [0, horizon] only: an output grid to
+        t = 3 on horizon 1 is an error that names both times, for either
+        sampler, and a grid that ends at the horizon up to rounding runs."""
+        model = make_model()
+        modes = solve_fredholm(model.kernel, model.horizon, 60, 2)
+        kle = select_modes(modes, cumulative_rates(modes, model), 2)
+        config = MCConfig(n_traj=4, dt=0.01, seed=1, batch=4, sampler=sampler)
+        with pytest.raises(ValueError, match=re.escape(
+                "output grid ends at 3.0, past the model horizon 1.0")):
+            mc_average(model, RHO_PLUS_X, config, np.linspace(0.0, 3.0, 7),
+                       kle=kle)
+        result = mc_average(model, RHO_PLUS_X, config,
+                            np.linspace(0.0, 1.0 + 1e-13, 3), kle=kle)
+        assert result.times[-1] == 1.0 + 1e-13
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e-2])
+    def test_uniformity_is_relative_to_the_step(self, scale):
+        """Grid uniformity is judged relative to the step, so the uneven
+        grid [0, 1, 3, 4] * scale is rejected on a tiny time scale as on a
+        large one, and the even grid on it runs at the times it asks for."""
+        model = make_model(horizon=4 * scale)
+        config = MCConfig(n_traj=4, dt=0.04 * scale, seed=1, batch=4)
+        with pytest.raises(ValueError, match="uniform"):
+            mc_average(model, RHO_PLUS_X, config,
+                       np.array([0.0, 1.0, 3.0, 4.0]) * scale)
+        t_out = np.linspace(0.0, 4 * scale, 4)
+        result = mc_average(model, RHO_PLUS_X, config, t_out)
+        np.testing.assert_allclose(result.times, t_out, rtol=1e-12, atol=0)
 
     def test_dimension_validation(self):
         model = make_model()
