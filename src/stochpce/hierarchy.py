@@ -30,10 +30,12 @@ patterns (M_n[m, l] != 0 only for l = m +- e_n), so they and the drift fit one
 CSR matrix whose pattern never changes.  Public states stay complex (N, d, d).
 
 One RHS is then one small dense product and one sparse product, and at these
-sizes their cost is mostly call overhead.  So each RK4 stage writes into
-buffers allocated once per range of steps, and _rhs calls SciPy's
-csr_matvecs kernel on them directly rather than the matrix's `@`, which
-adds operator dispatch and a fresh result array.
+sizes their cost is mostly call overhead.  So _rhs makes two calls, np.dot
+into a buffer and SciPy's csr_matvecs kernel rather than the matrix's `@`,
+which adds operator dispatch and a fresh result array.  The kernel adds
+into its output, so each RK4 stage input is a copy of the state that _rhs
+adds its increment into, and the last stage adds straight into the state:
+16 NumPy-level calls per step, in buffers allocated once per propagate.
 
 SciPy is imported only where a CSR matrix is built (build_couplings,
 _summed_couplings), so importing this module, and running the kle and mc
@@ -194,7 +196,7 @@ class PCEState:
     """The N operator-valued coefficients phi_m at one instant, Schrodinger frame."""
 
     coefficients: np.ndarray  # (N, d, d) complex
-    t: float
+    t: float  # stored as a Python float, so messages print it plainly
     basis: MultiIndexSet
 
     def __post_init__(self):
@@ -207,6 +209,7 @@ class PCEState:
                 f"{coeffs.shape[0]} coefficients for a basis of {self.basis.size}")
         coeffs = coeffs.copy(); coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "t", float(self.t))
 
     @property
     def dim(self) -> int:
@@ -393,17 +396,19 @@ def _sparse_product(summed, width: int):
 
 def _rhs(product, data: np.ndarray, generator: np.ndarray, y: np.ndarray,
          x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """S(t) (Y Lv) + Y L0 on the real (N, d*d - 1) coordinates Y, written
-    into out and returned; product is the summed pattern's _sparse_product,
+    """Add S(t) (Y Lv) + Y L0 on the real (N, d*d - 1) coordinates Y into
+    out and return it; product is the summed pattern's _sparse_product,
     data its entries at the stage, and generator is [Lv | L0].  x receives
     Y @ generator, (N, 2 (d*d - 1)), whose C-order values the matrix reads.
 
-    x and out are float64 arrays, passed to the kernel whole: it
-    works in place on C-contiguous ones and copies and writes back any
-    other layout, where out.ravel() would be a copy it fills instead.
+    Two NumPy-level calls: np.dot, which writes into x only if it is a
+    C-contiguous float64 array, and SciPy's csr_matvecs, which adds each row's
+    entries into out in the row's order.  On a zeroed out that is bitwise
+    summed @ x.  out is passed to the kernel whole: it works in place on a
+    C-contiguous one and copies and writes back any other layout, where
+    out.ravel() would be a copy it fills instead.
     """
-    np.matmul(y, generator, out=x)
-    out.fill(0.0)
+    np.dot(y, generator, out=x)
     product(data, x, out)
     return out
 
@@ -418,33 +423,37 @@ def _check_weighted_norm(norm: float, norm0: float, t: float) -> None:
 
 
 def _rk4_steps(product, generator: np.ndarray, data: np.ndarray, h: float,
-               y: np.ndarray) -> None:
+               y: np.ndarray, x: np.ndarray, stage_inputs: np.ndarray) -> None:
     """Classic RK4 steps of size h, advancing the real coordinates y in place.
 
     product is the summed matrix's _sparse_product, generator is [Lv | L0]
     and data its entries weight * s[mode](t) on the steps' 2 steps + 1 stages
     (their half-step grid).  The data are pre-scaled by the stage factors
     (data is overwritten with its h/2 multiple), so the four _rhs calls of
-    a step return a1 = (h/2) k1, a2 = (h/2) k2, a3 = h k3 and a4 = (h/6) k4,
-    and the step is y + ((a1 + 2 a2 + a3) / 3 + a4), formed in that order.
-    Every stage writes into the same six buffers, allocated once per call.
+    a step add a1 = (h/2) k1, a2 = (h/2) k2, a3 = h k3 and a4 = (h/6) k4.
+    Each stage input y2 = y + a1, y3 = y + a2, y4 = y + a3 is a copy of y
+    that _rhs adds into; the step then forms y + (a1 + 2 a2 + a3) / 3 as
+    (y2 + 2 y3 + y4 - y) / 3 in y, and the fourth _rhs call adds a4 into y.
+    That is 16 NumPy-level calls per step.  x is _rhs's (N, 2 (d*d - 1))
+    buffer and stage_inputs a (3,) + y.shape one for y2, y3, y4, both
+    C-contiguous and allocated by the caller once per propagate.
     """
     full, sixth = h * data[1::2], (h / 6) * data[2::2]
     half = np.multiply(data, h / 2, out=data)
-    x = np.empty((y.shape[0], generator.shape[1]))
-    stage, a1, a2, a3, a4 = np.empty((5,) + y.shape)
+    y2, y3, y4 = stage_inputs
     for j in range(len(full)):
-        _rhs(product, half[2 * j], generator, y, x, a1)
-        _rhs(product, half[2 * j + 1], generator,
-             np.add(y, a1, out=stage), x, a2)
-        _rhs(product, full[j], generator, np.add(y, a2, out=stage), x, a3)
-        _rhs(product, sixth[j], generator, np.add(y, a3, out=stage), x, a4)
-        increment = np.multiply(a2, 2, out=a2)
-        np.add(a1, increment, out=increment)
-        np.add(increment, a3, out=increment)
-        np.divide(increment, 3, out=increment)
-        np.add(increment, a4, out=increment)
-        np.add(y, increment, out=y)
+        np.copyto(y2, y)
+        _rhs(product, half[2 * j], generator, y, x, y2)
+        np.copyto(y3, y)
+        _rhs(product, half[2 * j + 1], generator, y2, x, y3)
+        np.copyto(y4, y)
+        _rhs(product, full[j], generator, y3, x, y4)
+        np.multiply(y3, 2, out=y3)
+        np.add(y2, y3, out=y2)
+        np.add(y2, y4, out=y2)
+        np.subtract(y2, y, out=y2)
+        np.divide(y2, 3, out=y)
+        _rhs(product, sixth[j], generator, y4, x, y)
 
 
 def _chunks(steps):
@@ -518,7 +527,8 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     if not np.all(np.isfinite(t_grid)):
         raise ValueError("t_grid times must be finite")
     if abs(t_grid[0] - state.t) > 1e-12:
-        raise ValueError(f"t_grid starts at {t_grid[0]!r}, state is at {state.t!r}")
+        raise ValueError(f"t_grid starts at {float(t_grid[0])!r}, "
+                         f"state is at {state.t!r}")
     if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     if t_grid[-1] > model.horizon * (1 + 1e-12):
@@ -561,6 +571,8 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
     traces = np.trace(state.coefficients, axis1=1, axis2=2).real
     y = _coordinates(state.coefficients)  # C order, like the stage buffers
     product = _sparse_product(summed, d * d - 1)
+    x = np.empty((basis.size, generator.shape[1]))
+    stage_inputs = np.empty((3,) + y.shape)
     norm0 = float(_coordinate_norms(y, traces, d))
     sizes = [(t1 - t0) / n for t0, t1, n in zip(times[:-1], times[1:], steps)]
     for chunk in _chunks(steps):
@@ -575,7 +587,8 @@ def propagate(state: PCEState, model: StochasticModel, kle: TruncatedKLE,
         for i, first, stop in chunk:
             stages = slice(start, start + 2 * (stop - first) + 1)
             _rk4_steps(product, generator,
-                       s_stage[:, stages].T @ mode_weights, sizes[i], y)
+                       s_stage[:, stages].T @ mode_weights, sizes[i], y, x,
+                       stage_inputs)
             if stop == steps[i]:
                 records[ended] = y
                 ended += 1

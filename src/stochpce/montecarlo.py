@@ -93,7 +93,9 @@ class MCEnsemble:
     converged: bool
 
 
-def trajectory_rng(seed: int, index: int) -> np.random.Generator:
+# The annotation is quoted: evaluated, it would load numpy.random (and
+# secrets, hashlib) when the package is imported, for every command.
+def trajectory_rng(seed: int, index: int) -> "np.random.Generator":
     """Counter-based substream for one trajectory; pure in (seed, index)."""
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 

@@ -268,6 +268,19 @@ def galerkin_rhs_loop(h0, v_t, s_vec, coeffs, mode_matrices) -> np.ndarray:
     return -1j * ((h0 @ coeffs - coeffs @ h0) + (v_t @ mixed - mixed @ v_t))
 
 
+def csr_accumulate_loop(matrix, x, out) -> np.ndarray:
+    """out + matrix @ x for a CSR matrix, formed in place in out the way a
+    row-wise kernel adds: out[i] += data[k] * x[indices[k]] for each entry k
+    of row i, in stored order.  Rows advance together, one entry position
+    at a time, so the loop runs over the longest row only."""
+    lengths = np.diff(matrix.indptr)
+    for position in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > position)
+        entries = matrix.indptr[rows] + position
+        out[rows] += matrix.data[entries, None] * x[matrix.indices[entries]]
+    return out
+
+
 def galerkin_rk4_loop(coeffs, t_grid, dt_max, h0, v_of_t, s_of_t,
                       mode_matrices) -> np.ndarray:
     """Classic RK4 over galerkin_rhs_loop with the hierarchy's step rule: per

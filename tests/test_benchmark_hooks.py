@@ -151,6 +151,28 @@ def test_propagate_makes_four_rhs_calls_per_rk4_step(monkeypatch):
     assert len(calls) == 4 * 3 * n_intervals
 
 
+def test_pce_fig2_step_and_rhs_counts(tmp_path, monkeypatch):
+    """The pce_fig2 workload integrates 2189 RK4 steps (its 200 intervals of
+    0.005 take 10 or 11 steps of at most 0.0005) with 8756 _rhs calls, as
+    spans.rk4_steps counts them; a change to the step count then shows as
+    a change in work, not as a speed-up."""
+    spans, workloads = load_spans(), load_perfbench("workloads")
+    path = workloads.write_config("pce_fig2", str(tmp_path))
+    config = load_config(path)
+    assert spans.rk4_steps(list(config.output_times()), config.pce.dt_max) == 2189
+    calls = []
+    original = hierarchy._rhs
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(hierarchy, "_rhs", counting)
+    argv = workloads.cli_argv("pce_fig2", path, str(tmp_path / "out"), 1)
+    assert cli.main(argv) == 0
+    assert len(calls) == 8756
+
+
 def test_pce_read_out_calls_each_observable_once(tmp_path):
     """One pce command reads its curve out with one call per OBSERVABLES
     name, all records at once, and the traced run times those calls as

@@ -647,24 +647,25 @@ sys.exit(target())
 """
 
 
-# The child process of TestEntryPoint._scipy_after_each.
-SCIPY_PROBE = """\
+# The child process of TestEntryPoint._loaded_after_each.
+MODULE_PROBE = """\
 import json
 import sys
 
 import stochpce.cli
 
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "numpy.random")
 
 
-after = [scipy_modules()]
+after = [loaded()]
 for argv in json.loads(sys.argv[1]):
     code = stochpce.cli.main(argv)
     if code != 0:
         sys.exit(f"{argv[0]} exited with {code}")
-    after.append(scipy_modules())
+    after.append(loaded())
 print(json.dumps(after))
 """
 
@@ -700,15 +701,21 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr, proc.stderr
 
     @staticmethod
-    def _scipy_after_each(argvs):
+    def _loaded_after_each(argvs):
         """In a fresh interpreter, import the CLI and run main(argv) for
-        each argv; returns the scipy modules loaded after the import and
-        after each command.  The test process has SciPy loaded already."""
-        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+        each argv; returns the scipy modules, and numpy.random if it is
+        loaded, after the import and after each command.  The test process
+        has both loaded already."""
+        proc = subprocess.run([sys.executable, "-c", MODULE_PROBE,
                                json.dumps(argvs)],
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
+
+    @classmethod
+    def _scipy_after_each(cls, argvs):
+        return [[m for m in names if m != "numpy.random"]
+                for names in cls._loaded_after_each(argvs)]
 
     def test_import_kle_and_mc_load_no_scipy(self, tmp_path):
         """Start-up cost: SciPy is loaded only where a hierarchy is built, so
@@ -724,6 +731,17 @@ class TestEntryPoint:
         assert self._scipy_after_each(argvs) == [[], [], [], []]
         assert (tmp_path / "exact_ou_mc.csv").exists()
         assert (tmp_path / "kle_mc.csv").exists()
+
+    def test_import_and_kle_load_no_numpy_random(self, tmp_path):
+        """numpy.random, and the secrets and hashlib modules it imports, is
+        loaded where trajectories are drawn, not at import: importing the
+        CLI and running kle load none of it, and mc loads it."""
+        cfg = write_config(tmp_path)
+        loaded = self._loaded_after_each(
+            [["kle", "--config", cfg, "--out", str(tmp_path / "kle")],
+             ["mc", "--config", cfg, "--out", str(tmp_path / "mc"),
+              "--allow-unconverged"]])
+        assert ["numpy.random" in names for names in loaded] == [False, False, True]
 
     def test_pce_loads_scipy_sparse_and_matches_in_process(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -12,6 +12,7 @@ from scipy.special import roots_hermitenorm
 from oracles import (
     ConstantKernel,
     coupling_weights,
+    csr_accumulate_loop,
     dephasing_coherence,
     dephasing_sx_variance,
     galerkin_rhs_loop,
@@ -356,7 +357,7 @@ class TestRHS:
         s_vec = scaled_modes_matrix(self.kle.modes, self.model.kernel, [t])[:, 0]
         summed, modes = _summed_couplings(self.couplings)
         y = _coordinates(state.coefficients)
-        x, out = np.empty((y.shape[0], 2 * y.shape[1])), np.empty(y.shape)
+        x, out = np.empty((y.shape[0], 2 * y.shape[1])), np.zeros(y.shape)
         deriv = _rhs(_sparse_product(summed, y.shape[1]),
                      summed.data * np.append(s_vec, 1.0)[modes],
                      _generator(self.model), y, x, out)
@@ -405,42 +406,95 @@ class TestRHS:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("name", ["fig2", "qutrit"])
     def test_rhs_is_bitwise_the_sparse_product(self, name, order):
-        """The direct kernel call is bitwise summed @ (y @ generator), read
-        as (2N, d*d - 1), whatever the buffers held before.  The
-        integrator's buffers are C-contiguous; Fortran-ordered ones must
-        still receive the result, not a copy."""
+        """_rhs adds summed @ (y @ generator), read as (2N, d*d - 1), into
+        out: on a zeroed out it is bitwise that product, on a nonzero one
+        bitwise the loop that adds each row's entries in their order.  The
+        integrator's buffers are C-contiguous; a Fortran-ordered out must
+        still receive the result, not a copy.  x must be C-contiguous."""
         summed, generator, y = self._rhs_case(name)
-        x = np.full((y.shape[0], generator.shape[1]), np.nan, order=order)
-        out = np.full(y.shape, np.nan, order=order)
+        x = np.full((y.shape[0], generator.shape[1]), np.nan)
         product = _sparse_product(summed, y.shape[1])
+        dense = (y @ generator).reshape(-1, y.shape[1])
+        out = np.zeros(y.shape, order=order)
         got = _rhs(product, summed.data, generator, y, x, out)
         assert got is out
+        np.testing.assert_array_equal(got, summed @ dense)
+        base = np.random.default_rng(7).standard_normal(y.shape)
+        out = np.array(base, order=order)
+        _rhs(product, summed.data, generator, y, x, out)
         np.testing.assert_array_equal(
-            got, summed @ (y @ generator).reshape(-1, y.shape[1]))
+            out, csr_accumulate_loop(summed, dense, base.copy()))
+        assert not np.array_equal(out, base + summed @ dense)
+        with pytest.raises(ValueError):
+            _rhs(product, summed.data, generator, y, np.asfortranarray(x), out)
 
     @pytest.mark.parametrize("name", ["fig2", "qutrit"])
     def test_buffered_steps_are_bitwise_the_rk4_expression(self, name):
-        """Two _rk4_steps steps are, bit for bit, the steps
-        y + ((a1 + 2 a2 + a3) / 3 + a4) formed from fresh arrays."""
+        """Two _rk4_steps steps are, bit for bit, the steps formed from
+        fresh arrays: stage inputs y + a_k accumulated into copies of y,
+        then (y2 + 2 y3 + y4 - y) / 3 with a4 accumulated into it."""
         summed, generator, y = self._rhs_case(name)
         h = 0.01
         data = np.random.default_rng(6).standard_normal((5, summed.nnz))
+        matrix = summed.copy()
 
-        def product(stage_data, x):
-            matrix = summed.copy()
+        def accumulate(stage_data, x, base):
             matrix.data = stage_data
-            return matrix @ (x @ generator).reshape(-1, x.shape[1])
+            return csr_accumulate_loop(
+                matrix, (x @ generator).reshape(-1, x.shape[1]), base.copy())
 
         expected = y
         for j in range(2):
-            a1 = product((h / 2) * data[2 * j], expected)
-            a2 = product((h / 2) * data[2 * j + 1], expected + a1)
-            a3 = product(h * data[2 * j + 1], expected + a2)
-            a4 = product((h / 6) * data[2 * j + 2], expected + a3)
-            expected = expected + ((a1 + 2 * a2 + a3) / 3 + a4)
+            y2 = accumulate((h / 2) * data[2 * j], expected, expected)
+            y3 = accumulate((h / 2) * data[2 * j + 1], y2, expected)
+            y4 = accumulate(h * data[2 * j + 1], y3, expected)
+            expected = accumulate((h / 6) * data[2 * j + 2], y4,
+                                  (y2 + 2 * y3 + y4 - expected) / 3)
         got = y.copy()
-        _rk4_steps(_sparse_product(summed, y.shape[1]), generator, data, h, got)
+        _rk4_steps(_sparse_product(summed, y.shape[1]), generator, data, h,
+                   got, np.empty((y.shape[0], generator.shape[1])),
+                   np.empty((3,) + y.shape))
         np.testing.assert_array_equal(got, expected)
+
+    def test_fig2_steps_match_the_increment_form(self):
+        """On fig2's model and basis (s = 3, p = 9), over as many steps as a
+        fig2 pce run takes (2189), _rk4_steps stays within 1e-13 of
+        y + ((a1 + 2 a2 + a3) / 3 + a4) with each a_k from a zeroed
+        product.  The two forms round differently, step by step."""
+        model = make_model(OrnsteinUhlenbeckKernel(3.0, 10.0))
+        modes = ou_modes(model.kernel, model.horizon, n_modes=12)
+        kle = select_modes(modes, cumulative_rates(modes, model), 3)
+        basis = enumerate_indices(3, 9)
+        summed, entry_modes = _summed_couplings(build_couplings(basis))
+        generator = _generator(model)
+        product = _sparse_product(summed, 3)
+        n_steps, h = 2189, 1 / 2189
+        y = _coordinates(initial_pce_state(RHO_PLUS_X, basis).coefficients)
+        expected = y.copy()
+        x, stage_inputs = np.empty((basis.size, 6)), np.empty((3,) + y.shape)
+        matrix = summed.copy()
+
+        def increment(stage_data, inputs):
+            matrix.data = stage_data
+            return matrix @ (inputs @ generator).reshape(-1, 3)
+
+        for first in range(0, n_steps, 100):
+            steps = min(100, n_steps - first)
+            times = (h / 2) * np.arange(2 * first, 2 * (first + steps) + 1)
+            s_stage = np.vstack([scaled_modes_matrix(kle.modes, model.kernel,
+                                                     times),
+                                 np.ones(times.size)])
+            data = s_stage.T[:, entry_modes] * summed.data
+            for j in range(steps):
+                a1 = increment((h / 2) * data[2 * j], expected)
+                a2 = increment((h / 2) * data[2 * j + 1], expected + a1)
+                a3 = increment(h * data[2 * j + 1], expected + a2)
+                a4 = increment((h / 6) * data[2 * j + 2], expected + a3)
+                expected = expected + ((a1 + 2 * a2 + a3) / 3 + a4)
+            _rk4_steps(product, generator, data, h, y, x, stage_inputs)
+        assert np.max(np.abs(y[1:])) > 0.05  # the noise moved it
+        assert not np.array_equal(y, expected)
+        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-13)
 
     @staticmethod
     def _assert_matches_commutator_loop(model, kle, basis, rho0, t_grid,
@@ -532,7 +586,9 @@ class TestPropagateValidation:
         self.state = initial_pce_state(RHO_PLUS_X, self.basis)
 
     def test_grid_must_start_at_state_time(self):
-        with pytest.raises(ValueError):
+        """The message prints both times as plain floats, not NumPy reprs."""
+        with pytest.raises(ValueError, match=re.escape(
+                "t_grid starts at 0.5, state is at 0.0")):
             propagate(self.state, self.model, self.kle, self.couplings,
                       [0.5, 1.0])
 
@@ -990,6 +1046,17 @@ class TestMoments:
         bad[0] = 0.9 * RHO_PLUS_X
         state = PCEState(coefficients=bad, t=0.0, basis=self.basis)
         with pytest.raises(CorruptedStateError):
+            mean_state(state)
+
+    def test_state_time_is_a_python_float(self):
+        """A NumPy scalar time is stored as a float, so a read-out error
+        names t = 0.25, not t = np.float64(0.25)."""
+        bad = np.zeros((self.basis.size, 2, 2), dtype=complex)
+        bad[0] = 0.9 * RHO_PLUS_X
+        state = PCEState(coefficients=bad, t=np.float64(0.25), basis=self.basis)
+        assert type(state.t) is float and state.t == 0.25
+        with pytest.raises(CorruptedStateError, match=re.escape(
+                "at t = 0.25 deviates from 1")):
             mean_state(state)
 
     def test_nan_mean_rejected(self):
