@@ -438,9 +438,10 @@ def emit_config(config: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
-    """Read a run file; a relative [noise] table is taken relative to the
-    run file's directory, not to the working directory."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read a run file, UTF-8 with or without a byte-order mark; a relative
+    [noise] table is taken relative to the run file's directory, not to the
+    working directory."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         config = parse_config(handle.read())
     if config.noise.table is None:
         return config

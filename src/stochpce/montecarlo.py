@@ -20,6 +20,7 @@ read from them; the samples' mean and variance are two-pass sums per
 batch, merged in batch order.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,10 @@ class MCConfig:
     stderr_target: float = DEFAULT_STDERR_TARGET
 
     def __post_init__(self):
+        for name in ("n_traj", "seed", "batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_traj < 2:
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
         if not (np.isfinite(self.dt) and self.dt > 0):

@@ -227,6 +227,15 @@ class TestRoundTrip:
         path.write_text(MINIMAL)
         assert load_config(path) == parse_config(MINIMAL)
 
+    def test_load_config_skips_a_byte_order_mark(self, tmp_path):
+        """A run file saved as UTF-8 with a byte-order mark, as some Windows
+        editors write it, loads to the same RunConfig as without one."""
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_text(MINIMAL, encoding="utf-8")
+        marked.write_text(MINIMAL, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(plain)
+
 
 class TestPresets:
     def test_fig2_values(self):

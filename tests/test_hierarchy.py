@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -49,6 +50,7 @@ from stochpce.hierarchy import (
     BLOCK_SIZE,
     BLOCK_STAGES,
     DIVERGENCE_FACTOR,
+    RK4_WEIGHTS,
     WEIGHTED_NORM_TOL,
     PCEState,
     _check_weighted_norm,
@@ -431,30 +433,35 @@ class TestRHS:
     @pytest.mark.parametrize("name", ["fig2", "qutrit"])
     def test_buffered_steps_are_bitwise_the_rk4_expression(self, name):
         """Two _rk4_steps steps are, bit for bit, the steps formed from
-        fresh arrays: stage inputs y + a_k accumulated into copies of y,
-        then (y2 + 2 y3 + y4 - y) / 3 with a4 accumulated into it."""
+        fresh arrays: each stage's unscaled data times y_k @ (c generator),
+        c = h/2, h/2, h, accumulated into a copy of y, then the RK4_WEIGHTS
+        sum of [y, y2, y3, y4] with the h/6 stage accumulated into it."""
         summed, generator, y = self._rhs_case(name)
         h = 0.01
         data = np.random.default_rng(6).standard_normal((5, summed.nnz))
         matrix = summed.copy()
 
-        def accumulate(stage_data, x, base):
+        def accumulate(stage_data, factor, x, base):
             matrix.data = stage_data
             return csr_accumulate_loop(
-                matrix, (x @ generator).reshape(-1, x.shape[1]), base.copy())
+                matrix, (x @ (factor * generator)).reshape(-1, x.shape[1]),
+                base.copy())
 
         expected = y
         for j in range(2):
-            y2 = accumulate((h / 2) * data[2 * j], expected, expected)
-            y3 = accumulate((h / 2) * data[2 * j + 1], y2, expected)
-            y4 = accumulate(h * data[2 * j + 1], y3, expected)
-            expected = accumulate((h / 6) * data[2 * j + 2], y4,
-                                  (y2 + 2 * y3 + y4 - expected) / 3)
-        got = y.copy()
+            y2 = accumulate(data[2 * j], h / 2, expected, expected)
+            y3 = accumulate(data[2 * j + 1], h / 2, y2, expected)
+            y4 = accumulate(data[2 * j + 1], h, y3, expected)
+            weighted = np.dot(RK4_WEIGHTS,
+                              np.stack([expected, y2, y3, y4]).reshape(4, -1))
+            expected = accumulate(data[2 * j + 2], h / 6, y4,
+                                  weighted.reshape(y.shape))
+        got, unscaled = y.copy(), data.copy()
         _rk4_steps(_sparse_product(summed, y.shape[1]), generator, data, h,
                    got, np.empty((y.shape[0], generator.shape[1])),
-                   np.empty((3,) + y.shape))
+                   np.empty((4,) + y.shape))
         np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(data, unscaled)
 
     def test_fig2_steps_match_the_increment_form(self):
         """On fig2's model and basis (s = 3, p = 9), over as many steps as a
@@ -471,7 +478,7 @@ class TestRHS:
         n_steps, h = 2189, 1 / 2189
         y = _coordinates(initial_pce_state(RHO_PLUS_X, basis).coefficients)
         expected = y.copy()
-        x, stage_inputs = np.empty((basis.size, 6)), np.empty((3,) + y.shape)
+        x, stack = np.empty((basis.size, 6)), np.empty((4,) + y.shape)
         matrix = summed.copy()
 
         def increment(stage_data, inputs):
@@ -491,10 +498,31 @@ class TestRHS:
                 a3 = increment(h * data[2 * j + 1], expected + a2)
                 a4 = increment((h / 6) * data[2 * j + 2], expected + a3)
                 expected = expected + ((a1 + 2 * a2 + a3) / 3 + a4)
-            _rk4_steps(product, generator, data, h, y, x, stage_inputs)
+            _rk4_steps(product, generator, data, h, y, x, stack)
         assert np.max(np.abs(y[1:])) > 0.05  # the noise moved it
         assert not np.array_equal(y, expected)
         np.testing.assert_allclose(y, expected, rtol=0, atol=1e-13)
+
+    def test_rk4_weights_keep_the_fig2_weighted_norm(self):
+        """RK4_WEIGHTS sum to exactly 1 as rationals, and over the fig2
+        preset's 2189 steps the weighted norm, which the exact flow
+        conserves, drifts by at most 1.2e-13 (7.4e-14 measured).  The
+        weights (-1/3, 1/3, 2/3, 1/3) sum to 1 - 5.6e-17 and drift by
+        1.9e-13."""
+        assert sum(map(Fraction, RK4_WEIGHTS.tolist())) == 1
+        config = parse_config(
+            (resources.files("stochpce") / "presets" / "fig2.ini").read_text())
+        model = config.build_model()
+        modes = ou_modes(model.kernel, config.model.tau,
+                         grid_size=config.kle.grid_size,
+                         n_modes=config.kle.candidate_modes)
+        kle = select_modes(modes, cumulative_rates(modes, model), config.kle.s)
+        basis = enumerate_indices(config.kle.s, config.pce.p)
+        states = propagate(initial_pce_state(config.build_rho0(), basis),
+                           model, kle, build_couplings(basis),
+                           config.output_times(), dt_max=config.pce.dt_max)
+        norm0 = weighted_norm(states[0])
+        assert max(abs(weighted_norm(st) - norm0) for st in states) <= 1.2e-13
 
     @staticmethod
     def _assert_matches_commutator_loop(model, kle, basis, rho0, t_grid,

@@ -83,6 +83,7 @@ class TestMCConfig:
         config = MCConfig(n_traj=100, dt=0.01, seed=7)
         assert config.sampler == "exact_ou"
         assert config.batch == 500
+        assert MCConfig(n_traj=np.int64(100), dt=0.01, seed=np.uint64(7)).seed == 7
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_traj=1, dt=0.01, seed=1),
@@ -94,6 +95,13 @@ class TestMCConfig:
         dict(n_traj=10, dt=0.01, seed=1, stderr_target=0.0),
         dict(n_traj=10, dt=float("nan"), seed=1),
         dict(n_traj=10, dt=0.01, seed=1, stderr_target=float("nan")),
+        dict(n_traj=10.5, dt=0.01, seed=1),
+        dict(n_traj=10.0, dt=0.01, seed=1),
+        dict(n_traj=10, dt=0.01, seed=1, batch=2.5),
+        dict(n_traj=10, dt=0.01, seed=1.9),
+        dict(n_traj=10, dt=0.01, seed=True),
+        dict(n_traj=10, dt=0.01, seed=1, batch=True),
+        dict(n_traj="10", dt=0.01, seed=1),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
